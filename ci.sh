@@ -45,6 +45,12 @@ fi
 step "cargo build --examples"
 cargo build --examples --offline
 
+# perfbench/ is its own cargo workspace that builds against these crates
+# by path; type-check it so an API change breaks here, not in the
+# benchmark run.
+step "cargo check (perfbench against the tree)"
+cargo check --offline --manifest-path perfbench/Cargo.toml
+
 step "cargo test (tier-1)"
 cargo test -q --offline
 

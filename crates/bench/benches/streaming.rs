@@ -38,8 +38,8 @@
 //! Off configuration stays free.
 //!
 //! The gate also covers the sharded collection tree: a 4-shard smoke
-//! study, normalised against the flat streaming study measured beside
-//! it on the same single worker thread, must stay within
+//! study, normalised against the one-shard study measured beside it on
+//! the same single worker thread, must stay within
 //! `NT_BENCH_SHARD_TOLERANCE` percent (default 25 — the tree spawns
 //! twelve collector threads, so it wears more scheduler noise than the
 //! single-threaded telemetry gate) of the checked-in ratio. That pins
@@ -60,7 +60,7 @@ use nt_analysis::{HistogramSketch, TraceSet};
 use nt_bench::{check_min_ns, Baseline, Verdict};
 use nt_cache::{CacheConfig, RangeSet};
 use nt_sim::{Engine, SimDuration, SimTime};
-use nt_study::{MachineRun, ReplayConfig, StreamOptions, Study, StudyConfig, WhatIfStudy};
+use nt_study::{MachineRun, ReplayConfig, ShardOptions, Study, StudyConfig, WhatIfStudy};
 use nt_trace::{CollectionServer, MachineId};
 
 /// One measurement: median-free, warm-up-free wall clock per iteration —
@@ -345,15 +345,14 @@ fn gate_measurements() -> (u128, u128) {
 
 /// Times the sharded-tree gate's two measurements, interleaved like
 /// [`gate_measurements`]: a 4-shard smoke study (numerator) against the
-/// flat streaming study (reference), both on one worker thread so the
-/// only difference is the tree — four 3-server pools instead of one,
-/// plus the shard → aggregator → fleet merge.
+/// one-shard study (reference), both on one worker thread so the only
+/// difference is the tree — four 3-server pools instead of one, plus
+/// the shard → aggregator → fleet merge.
 fn gate_sharded_measurements() -> (u128, u128) {
-    use nt_study::ShardOptions;
     let config = StudyConfig::smoke_test(13);
-    let serial = StreamOptions {
+    let serial = ShardOptions {
         workers: Some(1),
-        ..StreamOptions::default()
+        ..ShardOptions::default()
     };
     let tree = ShardOptions {
         shards: 4,
@@ -366,7 +365,7 @@ fn gate_sharded_measurements() -> (u128, u128) {
         let mut tree_ns = u128::MAX;
         for _round in 0..2 {
             let start = Instant::now();
-            std::hint::black_box(Study::run_streaming(&config, &serial).total_records);
+            std::hint::black_box(Study::run_sharded(&config, &serial).data.total_records);
             flat_ns = flat_ns.min(start.elapsed().as_nanos());
             let start = Instant::now();
             std::hint::black_box(Study::run_sharded(&config, &tree).data.total_records);
@@ -620,7 +619,9 @@ fn main() {
             elements: 1,
             run: Box::new(move || {
                 std::hint::black_box(
-                    Study::run_streaming(&config, &StreamOptions::default()).total_records,
+                    Study::run_sharded(&config, &ShardOptions::default())
+                        .data
+                        .total_records,
                 );
             }),
         });
@@ -648,9 +649,9 @@ fn main() {
                 std::hint::black_box(
                     Study::run_sharded(
                         &config,
-                        &nt_study::ShardOptions {
+                        &ShardOptions {
                             shards: 4,
-                            ..nt_study::ShardOptions::default()
+                            ..ShardOptions::default()
                         },
                     )
                     .data
@@ -709,7 +710,7 @@ fn main() {
 
     // Context the timings need: stream volume and the streaming memory
     // footprint at this scale.
-    let streamed = Study::run_streaming(&config, &StreamOptions::default());
+    let streamed = Study::run_sharded(&config, &ShardOptions::default()).data;
     let extras = [
         ("smoke_total_records", streamed.total_records as u128),
         ("smoke_stored_bytes", streamed.stored_bytes as u128),

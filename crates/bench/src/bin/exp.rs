@@ -20,56 +20,39 @@ fn usage() -> ! {
 
 fn run_replay(data: &nt_study::StudyData) -> String {
     use nt_cache::CacheConfig;
-    use nt_study::{compare_policies, ReplayConfig};
-    let rows = compare_policies(
-        &data.trace_set,
-        [
-            ("nt-defaults", ReplayConfig::default()),
-            (
-                "no-read-ahead",
-                ReplayConfig {
-                    cache: CacheConfig {
-                        readahead_enabled: false,
-                        ..CacheConfig::default()
-                    },
-                    ..ReplayConfig::default()
+    use nt_study::{ReplayConfig, WhatIfStudy};
+    let report = WhatIfStudy::new(ReplayConfig::default())
+        .variant(
+            "no-read-ahead",
+            ReplayConfig {
+                cache: CacheConfig {
+                    readahead_enabled: false,
+                    ..CacheConfig::default()
                 },
-            ),
-            (
-                "write-through",
-                ReplayConfig {
-                    cache: CacheConfig {
-                        force_write_through: true,
-                        ..CacheConfig::default()
-                    },
-                    ..ReplayConfig::default()
+                ..ReplayConfig::default()
+            },
+        )
+        .variant(
+            "write-through",
+            ReplayConfig {
+                cache: CacheConfig {
+                    force_write_through: true,
+                    ..CacheConfig::default()
                 },
-            ),
-            (
-                "irp-only",
-                ReplayConfig {
-                    disable_fastio: true,
-                    ..ReplayConfig::default()
-                },
-            ),
-        ],
-    );
+                ..ReplayConfig::default()
+            },
+        )
+        .variant(
+            "irp-only",
+            ReplayConfig {
+                disable_fastio: true,
+                ..ReplayConfig::default()
+            },
+        )
+        .run_trace_set(&data.trace_set)
+        .unwrap_or_else(|e| panic!("{e}"));
     let mut out = String::from("Trace replay under alternative cache policies\n");
-    out.push_str(&format!(
-        "  {:<16} {:>9} {:>7} {:>8} {:>10} {:>10}\n",
-        "policy", "requests", "hit%", "fastio%", "pag.reads", "pag.writes"
-    ));
-    for (label, r) in &rows {
-        out.push_str(&format!(
-            "  {:<16} {:>9} {:>6.0}% {:>7.0}% {:>10} {:>10}\n",
-            label,
-            r.replayed_requests,
-            100.0 * r.hit_rate(),
-            100.0 * r.fastio_read_fraction(),
-            r.paging_reads,
-            r.paging_writes
-        ));
-    }
+    out.push_str(&report.render_summary());
     out
 }
 

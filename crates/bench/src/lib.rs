@@ -5,7 +5,7 @@
 //! (`benches/*.rs`) measure the simulator and the analysis pipeline, and
 //! run the DESIGN.md ablations.
 
-use nt_study::{StreamOptions, StreamedStudyData, Study, StudyConfig, StudyData};
+use nt_study::{ShardOptions, ShardedStudyData, Study, StudyConfig, StudyData};
 
 pub mod baseline;
 pub use baseline::{check_min_ns, Baseline, BenchCheck, Verdict};
@@ -51,11 +51,11 @@ pub fn run_study(scale: Scale, seed: u64) -> StudyData {
     Study::run(&scale.config(seed))
 }
 
-/// Runs a study at the given scale through the streaming pipeline: online
-/// aggregates only, bounded memory, no materialized trace. The only
-/// feasible driver at [`Scale::Paper`].
-pub fn run_study_streaming(scale: Scale, seed: u64) -> StreamedStudyData {
-    Study::run_streaming(&scale.config(seed), &StreamOptions::default())
+/// Runs a study at the given scale through the streaming driver (one
+/// shard): online aggregates only, bounded memory, no materialized
+/// trace. The only feasible driver at [`Scale::Paper`].
+pub fn run_study_streaming(scale: Scale, seed: u64) -> ShardedStudyData {
+    Study::run_sharded(&scale.config(seed), &ShardOptions::default())
 }
 
 #[cfg(test)]

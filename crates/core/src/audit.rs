@@ -3,8 +3,8 @@
 //! The paper's tables are accounting identities over ~190 M records, so
 //! the reproduction carries its own bookkeeping: every simulator layer
 //! posts debits and credits into [`nt_audit::Ledger`]s —
-//! one per machine plus one fleet-global — and
-//! [`Study::run_audited`] reconciles them at end of run, failing loudly
+//! one per machine, one per shard collector, plus one fleet-global — and
+//! [`Study::run_sharded_audited`] reconciles them at end of run, failing loudly
 //! with the first unbalanced account instead of silently rendering
 //! drifted tables. The accounts tie the layers to each other:
 //!
@@ -21,44 +21,25 @@
 //!   per-machine deliveries against the pool's global total.
 //!
 //! On top sits [`differential_check`]: the same configuration is run
-//! through the batch path, the streaming path (with retained fact
-//! tables), and trace replay, and the resulting fact tables and replay
-//! behaviour are compared row by row — at whatever scale (and under
-//! whatever fault plan) the caller configures.
+//! through the batch reference path, the streaming driver (with
+//! retained fact tables, at a chosen shard count), and trace replay, and
+//! the resulting fact tables and replay behaviour are compared row by
+//! row — at whatever scale (and under whatever fault plan) the caller
+//! configures.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use nt_audit::{accounts, Imbalance, Ledger};
 
+use nt_analysis::whatif::ReplayFacts;
+
 use crate::config::StudyConfig;
-use crate::replay::{replay, ReplayConfig, ReplayReport};
+use crate::replay::{replay, ReplayConfig};
 use crate::shard::{ShardOptions, ShardedStudyData};
-use crate::study::{StreamOptions, StreamedStudyData, Study, StudyFault};
+use crate::study::{StreamedStudyData, Study, StudyFault};
 
-/// A streamed study together with its reconciled conservation ledgers.
-pub struct AuditedStudy {
-    /// The study output (streaming pipeline).
-    pub data: StreamedStudyData,
-    /// One reconciled ledger per machine, in machine order.
-    pub ledgers: Vec<Ledger>,
-    /// The fleet-global ledger (pool-level record conservation).
-    pub fleet: Ledger,
-}
-
-impl AuditedStudy {
-    /// Every ledger's account-by-account report, for logging.
-    pub fn report(&self) -> String {
-        let mut out = String::new();
-        for l in &self.ledgers {
-            out.push_str(&l.report());
-        }
-        out.push_str(&self.fleet.report());
-        out
-    }
-}
-
-/// Why [`Study::run_audited`] failed.
+/// Why [`Study::run_sharded_audited`] failed.
 #[derive(Debug)]
 pub enum AuditFailure {
     /// The run itself did not complete (worker or collector panic).
@@ -115,42 +96,6 @@ fn build_ledgers(data: &StreamedStudyData) -> (Vec<Ledger>, Ledger) {
     (ledgers, fleet)
 }
 
-impl Study {
-    /// [`Study::run_streaming`] with end-of-run conservation auditing.
-    ///
-    /// Each machine's layers post their debits and credits into the
-    /// machine's ledger; the pool totals post into the fleet ledger; and
-    /// every ledger is reconciled before the data is handed back. The
-    /// first unbalanced account aborts the run with
-    /// [`AuditFailure::Drift`], carrying the offending ledger's full
-    /// report — counters that drift apart are a bug in the pipeline, not
-    /// a property of the workload, so the caller must never see them as
-    /// data.
-    pub fn run_audited(
-        config: &StudyConfig,
-        options: &StreamOptions,
-    ) -> Result<AuditedStudy, AuditFailure> {
-        let data = Self::try_run_streaming(config, options)?;
-        let (ledgers, fleet) = build_ledgers(&data);
-        for ledger in ledgers.iter().chain(std::iter::once(&fleet)) {
-            if let Err(imbalance) = ledger.reconcile() {
-                // Drift is a pipeline bug: capture the black box before
-                // surfacing it (a no-op if a loss dump already fired).
-                data.dump_flight_recorder(&format!("conservation-drift: {imbalance}"));
-                return Err(AuditFailure::Drift {
-                    imbalance,
-                    report: ledger.report(),
-                });
-            }
-        }
-        Ok(AuditedStudy {
-            data,
-            ledgers,
-            fleet,
-        })
-    }
-}
-
 /// A sharded study with reconciled conservation ledgers at every tier:
 /// machine, shard collector, and fleet root.
 pub struct ShardedAudit {
@@ -165,17 +110,30 @@ pub struct ShardedAudit {
     pub fleet: Ledger,
 }
 
+impl ShardedAudit {
+    /// Every ledger's account-by-account report, bottom tier first, for
+    /// logging.
+    pub fn report(&self) -> String {
+        let mut out = String::new();
+        for l in self.ledgers.iter().chain(&self.shard_ledgers) {
+            out.push_str(&l.report());
+        }
+        out.push_str(&self.fleet.report());
+        out
+    }
+}
+
 /// Builds the three ledger tiers of a sharded run. Public so the audit
 /// suite can rebuild ledgers from deliberately perturbed shard reports
 /// and prove the reconciliation names the offending shard.
 ///
 /// - Each **machine** ledger posts the full per-layer accounts, exactly
-///   like the flat audit.
+///   from the machine's own layer counters.
 /// - Each **shard** ledger balances [`accounts::SHARD_RECORDS`]: the
 ///   shard's machines' delivered records (debit) against the shard
 ///   pool's own head-count (credit).
 /// - The **fleet** ledger balances [`accounts::POOL_RECORDS`] (every
-///   machine's deliveries vs the fleet total, as in the flat audit) and
+///   machine's deliveries vs the fleet total) and
 ///   [`accounts::FLEET_ROLLUP_RECORDS`] (per-shard pool totals vs the
 ///   fleet total) — the roll-up leg that makes a drifting shard visible
 ///   at the root even when every machine balances.
@@ -259,10 +217,11 @@ impl TableDrift {
 pub struct DifferentialReport {
     /// Per-table drift, batch vs streaming.
     pub tables: Vec<TableDrift>,
-    /// The batch-built tables replayed through a fresh stack.
-    pub replay_batch: ReplayReport,
+    /// The batch-built tables replayed through a fresh stack (fleet
+    /// total).
+    pub replay_batch: ReplayFacts,
     /// The streaming-built tables replayed identically.
-    pub replay_streaming: ReplayReport,
+    pub replay_streaming: ReplayFacts,
     /// Records collected by the batch run.
     pub batch_records: usize,
     /// Records collected by the streaming run.
@@ -280,31 +239,7 @@ impl DifferentialReport {
     /// way (a drift here with clean tables means replay is order- or
     /// content-sensitive to something the row comparison missed).
     pub fn replays_agree(&self) -> bool {
-        let a = &self.replay_batch;
-        let b = &self.replay_streaming;
-        (
-            a.replayed_requests,
-            a.skipped_records,
-            a.read_hits,
-            a.read_misses,
-            a.fastio_reads,
-            a.irp_reads,
-            a.paging_reads,
-            a.paging_writes,
-            a.demand_read_bytes,
-            a.readahead_bytes,
-        ) == (
-            b.replayed_requests,
-            b.skipped_records,
-            b.read_hits,
-            b.read_misses,
-            b.fastio_reads,
-            b.irp_reads,
-            b.paging_reads,
-            b.paging_writes,
-            b.demand_read_bytes,
-            b.readahead_bytes,
-        )
+        self.replay_batch == self.replay_streaming
     }
 
     /// One line per table plus the replay verdict, for logging.
@@ -346,27 +281,27 @@ fn fact_mismatches(a: &nt_analysis::FactTable, b: &nt_analysis::FactTable) -> us
     differing + a.len().abs_diff(b.len())
 }
 
-/// Runs the same configuration through the batch pipeline, the streaming
-/// pipeline (with retained fact tables), and trace replay, and compares
-/// the three leg by leg. Scale and fault plan come from `config` — this
-/// is the harness the audit suite runs well beyond smoke scale, with
-/// fault injection active, to prove the paths agree record for record.
+/// Runs the same configuration through the batch reference pipeline,
+/// the streaming driver on `shards` shard collectors (with retained
+/// fact tables), and trace replay, and compares the three leg by leg.
+/// Scale and fault plan come from `config` — this is the harness the
+/// audit suite runs well beyond smoke scale, with fault injection
+/// active, to prove the paths agree record for record.
 pub fn differential_check(
     config: &StudyConfig,
+    shards: usize,
     replay_config: &ReplayConfig,
 ) -> Result<DifferentialReport, StudyFault> {
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(config.machines.len().max(1));
-    let batch = Study::try_run_with_workers(config, workers)?;
-    let streaming = Study::try_run_streaming(
+    let batch = Study::try_run_batch(config, None)?;
+    let streaming = Study::try_run_sharded(
         config,
-        &StreamOptions {
+        &ShardOptions {
+            shards,
             retain: true,
-            ..StreamOptions::default()
+            ..ShardOptions::default()
         },
-    )?;
+    )?
+    .data;
     let streamed_tables = streaming
         .trace_set
         .as_ref()

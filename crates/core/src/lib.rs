@@ -33,8 +33,7 @@ pub mod warehouse;
 pub mod whatif;
 
 pub use audit::{
-    differential_check, sharded_ledgers, AuditFailure, AuditedStudy, DifferentialReport,
-    ShardedAudit, TableDrift,
+    differential_check, sharded_ledgers, AuditFailure, DifferentialReport, ShardedAudit, TableDrift,
 };
 pub use config::{MachineSpec, StudyConfig};
 pub use fault::{FaultPlan, FaultSchedule, MachineFaults};
@@ -43,15 +42,10 @@ pub use nt_obs::{
     Phase, RecorderScope, RuntimeProfile, ShipmentTracer, Telemetry, TelemetryConfig,
     TelemetryOptions, TraceContext, Watchdog,
 };
-pub use replay::{
-    compare_policies, replay, replay_stream, MachineVariantOutcome, ReplayConfig, ReplayReport,
-    ReplayStream,
-};
+pub use replay::{replay, replay_stream, MachineVariantOutcome, ReplayConfig, ReplayStream};
 pub use run::MachineRun;
 pub use shard::{ShardOptions, ShardReport, ShardedStudyData};
-pub use study::{
-    LossReport, MachineOutput, StreamOptions, StreamedStudyData, Study, StudyData, StudyFault,
-};
+pub use study::{LossReport, MachineOutput, StreamedStudyData, Study, StudyData, StudyFault};
 pub use synthetic::SyntheticBench;
 pub use warehouse::WarehouseIngest;
 pub use whatif::{

@@ -1,5 +1,12 @@
 //! The sharded collection tree: agent → shard collector → aggregator →
-//! fleet.
+//! fleet — the study's streaming driver.
+//!
+//! [`Study::run_sharded`] streams every shipment into live analysis
+//! sinks instead of storing it, so memory stays bounded by analysis
+//! state rather than trace volume. Its default of one shard is the
+//! paper's flat topology; retaining the fact tables, exporting a
+//! warehouse and auditing the ledgers are [`ShardOptions`] and
+//! [`Study::run_sharded_audited`], not separate drivers.
 //!
 //! The paper traced 45 desktops through three collection servers; the
 //! org-scale question is what the same pipeline looks like at 1,000 or
@@ -17,7 +24,7 @@
 //! performance knobs.** Every machine derives its faults from its fleet
 //! index and ships through a 3-server pool whose outage windows come
 //! from one shared [`FaultSchedule`], so each machine's experience is
-//! identical to the flat topology's; and every aggregate the sinks keep
+//! identical to the one-shard topology's; and every aggregate the sinks keep
 //! is integer or min/max state, so the hierarchical merge is exact, not
 //! merely close. `tests/shard_scale.rs` pins this: digests of the fact
 //! tables, name tables and loss ledgers are bit-identical across shard
@@ -32,10 +39,9 @@ use nt_trace::{ShipmentConsumer, StreamingPool};
 
 use crate::config::StudyConfig;
 use crate::fault::FaultSchedule;
-use crate::run::MachineRun;
 use crate::study::{
-    dump_flight_recorder, write_trace_artefact, Instruments, MachineOutput, StreamedStudyData,
-    Study, StudyFault,
+    dump_flight_recorder, run_fleet, write_trace_artefact, Instruments, MachineOutput,
+    StreamedStudyData, Study, StudyFault,
 };
 
 /// Knobs of the sharded driver. The defaults reproduce the flat
@@ -95,10 +101,10 @@ pub struct ShardReport {
     pub findings: Vec<HealthFinding>,
 }
 
-/// A sharded streaming run: the fleet-level data (same shape as the
-/// flat [`Study::run_streaming`] output) plus the per-tier accounting.
+/// A sharded streaming run: the fleet-level data plus the per-tier
+/// accounting.
 pub struct ShardedStudyData {
-    /// The fleet-root study data, bit-identical to a flat run.
+    /// The fleet-root study data, bit-identical to a one-shard run.
     pub data: StreamedStudyData,
     /// Per-shard reports, in shard order.
     pub shards: Vec<ShardReport>,
@@ -124,7 +130,16 @@ pub(crate) fn shard_ranges(n: usize, k: usize) -> Vec<std::ops::Range<usize>> {
 }
 
 impl Study {
-    /// [`Study::run_streaming`] over the sharded collection tree.
+    /// Runs every machine of the deployment on the streaming pipeline:
+    /// agents ship through one [`StreamingPool`] per shard whose servers
+    /// forward every buffer into per-machine [`nt_analysis::MachineSink`]s
+    /// instead of storing it. This is the path that makes
+    /// `Scale::Paper` feasible in-process.
+    ///
+    /// With `options.retain` the sinks additionally keep the stream and
+    /// the result carries the exact [`nt_analysis::TraceSet`]; the
+    /// determinism suite uses that to prove this driver and the batch
+    /// [`Study::run`] produce bit-identical fact tables.
     pub fn run_sharded(config: &StudyConfig, options: &ShardOptions) -> ShardedStudyData {
         Self::try_run_sharded(config, options).unwrap_or_else(|fault| panic!("{fault}"))
     }
@@ -160,17 +175,9 @@ impl Study {
         instruments: &Instruments,
     ) -> Result<ShardedStudyData, StudyFault> {
         let n = config.machines.len();
-        let workers = options
-            .workers
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(4)
-            })
-            .min(n.max(1));
         let ranges = shard_ranges(n, options.shards);
         // One schedule for the whole fleet, materialized exactly like
-        // the flat path's (three servers): machine faults key off the
+        // the batch path's (three servers): machine faults key off the
         // fleet index and every shard's pool replays the same collector
         // outage windows, so a machine cannot tell how many shards the
         // tree has.
@@ -241,31 +248,14 @@ impl Study {
         // Every machine simulation, fleet-wide, on one stealing pool:
         // a shard of cheap WalkUp machines finishes early and its
         // workers drain the Scientific shard's backlog.
-        let (outputs, panic) = nt_trace::steal::run_indexed(n, workers, |index| {
-            let spec = &config.machines[index];
-            let faults = schedule.for_machine(index);
-            let mut run = MachineRun::build_with_faults(config, index, spec, &faults);
-            run.set_instruments(
-                &instruments.tracer.for_shard(shard_of[index] as u32),
-                &instruments.recorder,
-                instruments.watchdogs,
-            );
-            let mut sink = pools[shard_of[index]].handle_for(run.id);
-            run.simulate_with_faults(config, &faults, &mut sink);
-            MachineOutput {
-                id: run.id,
-                category: run.category,
-                snapshots: std::mem::take(&mut run.snapshots),
-                io: run.io_metrics(),
-                cache: run.cache_metrics(),
-                vm: run.vm_metrics(),
-                loss: run.loss_ledger(),
-                residual_dirty_bytes: run.residual_dirty_bytes(),
-                telemetry: run.telemetry_report(),
-                health: run.take_health(),
-                last_delivery_ticks: run.last_delivery_ticks(),
-            }
-        });
+        let machines = run_fleet(
+            config,
+            options.workers,
+            &schedule,
+            instruments,
+            |index| instruments.tracer.for_shard(shard_of[index] as u32),
+            |index, id| pools[shard_of[index]].handle_for(id),
+        );
 
         // Join every shard's servers before surfacing any fault — a
         // panicked machine must not leak forwarding threads.
@@ -279,17 +269,10 @@ impl Study {
                 }
             }
         }
-        if let Some(p) = panic {
-            return Err(StudyFault::Worker(format!(
-                "machine {}: {}",
-                p.index, p.message
-            )));
-        }
+        let machines = machines?;
         if let Some(fault) = collection_fault {
             return Err(fault.into());
         }
-        let mut machines: Vec<MachineOutput> = outputs.into_iter().flatten().collect();
-        machines.sort_by_key(|m| m.id);
 
         // Shard tier: close each shard's sinks into a mergeable partial.
         let mut shard_summaries: Vec<ShardSummary> = Vec::with_capacity(consumers.len());
@@ -441,7 +424,6 @@ fn write_sharded_telemetry(config: &StudyConfig, machines: &[MachineOutput], sha
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::study::StreamOptions;
 
     #[test]
     fn shard_ranges_cover_contiguously() {
@@ -460,15 +442,25 @@ mod tests {
     }
 
     #[test]
-    fn one_shard_equals_the_flat_streaming_run() {
+    fn one_shard_equals_the_batch_reference() {
         let config = StudyConfig::smoke_test(17);
-        let flat = Study::run_streaming(&config, &StreamOptions::default());
-        let sharded = Study::run_sharded(&config, &ShardOptions::default());
+        let batch = Study::run(&config);
+        let sharded = Study::run_sharded(
+            &config,
+            &ShardOptions {
+                retain: true,
+                ..ShardOptions::default()
+            },
+        );
         assert_eq!(sharded.shards.len(), 1);
         assert_eq!(sharded.aggregators, 1);
-        assert_eq!(sharded.data.total_records, flat.total_records);
-        assert_eq!(sharded.data.stored_bytes, flat.stored_bytes);
-        assert_eq!(sharded.data.summary, flat.summary);
+        assert_eq!(sharded.data.total_records, batch.total_records);
+        assert_eq!(sharded.data.stored_bytes, batch.stored_bytes);
+        assert_eq!(sharded.data.summary.records, batch.total_records as u64);
+        let rebuilt = sharded.data.trace_set.as_ref().expect("retained");
+        assert_eq!(rebuilt.records, batch.trace_set.records);
+        assert_eq!(rebuilt.instances, batch.trace_set.instances);
+        assert_eq!(rebuilt.names, batch.trace_set.names);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! NTT warehouse integration: the live-export tee and the re-ingest
 //! driver.
 //!
-//! Export happens *during* a streaming study: [`super::study::StreamOptions::warehouse`]
-//! (or its sharded twin) tees every shipment into a
+//! Export happens *during* a streaming study: [`ShardOptions::warehouse`]
+//! tees every shipment into a
 //! [`nt_warehouse::WarehouseSink`] beside the live analysis sinks, and
 //! the segment files are serialized at study finish. Re-ingest is
 //! [`Study::ingest_warehouse`]: it opens a warehouse directory and
@@ -21,7 +21,8 @@ use nt_obs::{Hop, Phase, RuntimeProfile, ShipmentTracer, Telemetry};
 use nt_trace::{BatchMeta, MachineId, NameRecord, ShipmentConsumer, TraceRecord};
 use nt_warehouse::{NttError, TraceSource, Warehouse, WarehouseSink};
 
-use crate::study::{StreamOptions, Study};
+use crate::shard::ShardOptions;
+use crate::study::Study;
 
 /// Forwards every shipment to both the live analysis sinks and the
 /// warehouse export. The warehouse copy goes first so the analysis side
@@ -69,7 +70,7 @@ impl ShipmentConsumer for Tee {
 pub struct WarehouseIngest {
     /// The merged streaming aggregates.
     pub summary: StudySummary,
-    /// The exact fact tables, only under [`StreamOptions::retain`].
+    /// The exact fact tables, only under [`ShardOptions::retain`].
     pub trace_set: Option<TraceSet>,
     /// Records ingested across all segments.
     pub records: u64,
@@ -90,12 +91,12 @@ impl Study {
     /// canonical stamp order the live `MachineSink`s processed (the
     /// export sink reassembles with the same discipline).
     /// `options.retain` and `options.spill_dir` mean what they do for
-    /// [`Study::run_streaming`]; `workers` and `warehouse` are ignored
-    /// (ingest is sequential and re-exporting what was just read would
-    /// be a copy).
+    /// [`Study::run_sharded`]; every other field is ignored (ingest is
+    /// sequential over one analysis set, and re-exporting what was just
+    /// read would be a copy).
     pub fn ingest_warehouse(
         dir: &Path,
-        options: &StreamOptions,
+        options: &ShardOptions,
     ) -> Result<WarehouseIngest, NttError> {
         let telemetry = Telemetry::profiler();
         let warehouse = {
@@ -154,12 +155,12 @@ mod tests {
     fn export_then_ingest_reproduces_the_live_summary() {
         let dir = temp_dir("smoke");
         let config = StudyConfig::smoke_test(7);
-        let options = StreamOptions {
+        let options = ShardOptions {
             retain: true,
             warehouse: Some(dir.clone()),
-            ..StreamOptions::default()
+            ..ShardOptions::default()
         };
-        let live = Study::run_streaming(&config, &options);
+        let live = Study::run_sharded(&config, &options).data;
         let stats = live.warehouse.as_ref().expect("export stats present");
         assert_eq!(stats.len(), live.machines.len());
         assert_eq!(
@@ -193,7 +194,7 @@ mod tests {
     fn ingest_of_a_missing_directory_is_a_typed_error() {
         let err = Study::ingest_warehouse(
             std::path::Path::new("/nonexistent/nt-warehouse"),
-            &StreamOptions::default(),
+            &ShardOptions::default(),
         )
         .err()
         .expect("opening a missing warehouse must fail");

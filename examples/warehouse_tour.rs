@@ -16,7 +16,7 @@ use nt_analysis::dimensions::{type_cube, LeafCategory, TopCategory};
 use nt_analysis::processes::process_analysis;
 use nt_cache::CacheConfig;
 use nt_io::DiskParams;
-use nt_study::{ReplayConfig, StreamOptions, Study, StudyConfig, WhatIfStudy};
+use nt_study::{ReplayConfig, ShardOptions, Study, StudyConfig, WhatIfStudy};
 use nt_warehouse::Warehouse;
 
 fn main() {
@@ -28,18 +28,19 @@ fn main() {
         "running a smoke-scale study (warehouse tee -> {}) ...",
         dir.display()
     );
-    let data = Study::run_streaming(
+    let data = Study::run_sharded(
         &StudyConfig::smoke_test(21),
-        &StreamOptions {
+        &ShardOptions {
             retain: true,
             warehouse: Some(dir.clone()),
-            ..StreamOptions::default()
+            ..ShardOptions::default()
         },
-    );
+    )
+    .data;
     let ts = data
         .trace_set
         .as_ref()
-        .expect("retained under StreamOptions::retain");
+        .expect("retained under ShardOptions::retain");
     println!(
         "fact tables: {} trace records, {} instance rows, {} name-dimension entries\n",
         ts.records.len(),

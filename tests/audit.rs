@@ -3,14 +3,14 @@
 //! the batch / streaming / replay pipelines must agree on the fact
 //! tables at beyond-smoke scale.
 
-use nt_study::{differential_check, ReplayConfig, StreamOptions, Study, StudyConfig};
+use nt_study::{differential_check, ReplayConfig, ShardOptions, Study, StudyConfig};
 
 #[test]
 fn smoke_run_reconciles_every_ledger() {
     let config = StudyConfig::smoke_test(2024);
-    let audited = Study::run_audited(&config, &StreamOptions::default())
+    let audited = Study::run_sharded_audited(&config, &ShardOptions::default())
         .unwrap_or_else(|failure| panic!("{failure}"));
-    assert_eq!(audited.ledgers.len(), audited.data.machines.len());
+    assert_eq!(audited.ledgers.len(), audited.data.data.machines.len());
     // The audit is only meaningful if the accounts saw real traffic.
     let l = &audited.ledgers[0];
     assert!(
@@ -58,11 +58,11 @@ fn faulted_fleet_run_reconciles_to_zero_drift() {
     config.web_cache_files = 60;
     config.faults = nt_study::FaultPlan::lossy();
     assert_eq!(config.machines.len(), 45, "paper fleet");
-    let audited = Study::run_audited(&config, &StreamOptions::default())
+    let audited = Study::run_sharded_audited(&config, &ShardOptions::default())
         .unwrap_or_else(|failure| panic!("{failure}"));
     // Fault injection really happened …
     assert!(
-        audited.data.total_lost() > 0,
+        audited.data.data.total_lost() > 0,
         "the lossy plan should drop records"
     );
     // … and still every account balances, fleet-wide.
@@ -71,6 +71,7 @@ fn faulted_fleet_run_reconciles_to_zero_drift() {
     // never existing: trace.events balances because suspension drops are
     // an explicit credit, not an unexplained deficit.
     let drops: u64 = audited
+        .data
         .data
         .machines
         .iter()
@@ -90,9 +91,9 @@ fn sharded_run_reconciles_every_tier() {
     config.faults = nt_study::FaultPlan::lossy();
     let audited = Study::run_sharded_audited(
         &config,
-        &nt_study::ShardOptions {
+        &ShardOptions {
             shards: 4,
-            ..nt_study::ShardOptions::default()
+            ..ShardOptions::default()
         },
     )
     .unwrap_or_else(|failure| panic!("{failure}"));
@@ -122,9 +123,9 @@ fn drifting_shard_is_named_by_the_rollup() {
     let config = StudyConfig::smoke_test(405);
     let mut data = Study::run_sharded(
         &config,
-        &nt_study::ShardOptions {
+        &ShardOptions {
             shards: 4,
-            ..nt_study::ShardOptions::default()
+            ..ShardOptions::default()
         },
     );
     data.shards[2].total_records += 7;
@@ -153,14 +154,21 @@ fn drifting_shard_is_named_by_the_rollup() {
 
 #[test]
 fn differential_harness_is_clean_under_faults() {
-    // Batch, streaming and replay legs over a faulted multi-machine run:
-    // per-table drift must be zero and the two replays identical.
+    // Batch, streaming and replay legs over a faulted multi-machine run,
+    // the streaming leg on one shard and on three: per-table drift must
+    // be zero and the two replays identical.
     let mut config = StudyConfig::smoke_test(31);
     config.faults = nt_study::FaultPlan::lossy();
-    let report = differential_check(&config, &ReplayConfig::default())
-        .unwrap_or_else(|fault| panic!("{fault}"));
-    assert_eq!(report.tables.len(), 3);
-    assert!(report.clean(), "drift:\n{}", report.render());
-    assert_eq!(report.batch_records, report.streaming_records);
-    assert!(report.render().contains("records"));
+    for shards in [1, 3] {
+        let report = differential_check(&config, shards, &ReplayConfig::default())
+            .unwrap_or_else(|fault| panic!("{fault}"));
+        assert_eq!(report.tables.len(), 3);
+        assert!(
+            report.clean(),
+            "shards={shards} drift:\n{}",
+            report.render()
+        );
+        assert_eq!(report.batch_records, report.streaming_records);
+        assert!(report.render().contains("records"));
+    }
 }

@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 
-use nt_study::{MachineRun, StreamOptions, Study, StudyConfig};
+use nt_study::{MachineRun, ShardOptions, Study, StudyConfig};
 use nt_trace::{CollectionServer, MachineId};
 
 fn per_machine_counts(data: &nt_study::StudyData) -> HashMap<u32, usize> {
@@ -111,38 +111,52 @@ fn streaming_study_rebuilds_identical_fact_tables() {
     // The tentpole guarantee of the streaming pipeline: with `retain` on,
     // feeding shipments through the per-machine sinks and rebuilding the
     // fact tables yields bit-for-bit what the materialize-everything path
-    // produces — same records, same instances, same name table.
+    // produces — same records, same instances, same name table — on one
+    // shard collector or several.
     let config = StudyConfig::smoke_test(21);
     let batch = Study::run(&config);
-    let streamed = Study::run_streaming(
-        &config,
-        &StreamOptions {
-            retain: true,
-            ..StreamOptions::default()
-        },
-    );
-    assert_eq!(batch.total_records, streamed.total_records, "head-count");
-    assert_eq!(
-        batch.stored_bytes, streamed.stored_bytes,
-        "identical batch boundaries compress to identical bytes"
-    );
-    let rebuilt = streamed
-        .trace_set
-        .as_ref()
-        .expect("retain keeps the fact tables");
-    assert_eq!(batch.trace_set.records, rebuilt.records, "record table");
-    assert_eq!(
-        batch.trace_set.instances, rebuilt.instances,
-        "open/close instance table"
-    );
-    assert_eq!(batch.trace_set.names, rebuilt.names, "name table");
+    for shards in [1, 3] {
+        let streamed = Study::run_sharded(
+            &config,
+            &ShardOptions {
+                shards,
+                retain: true,
+                ..ShardOptions::default()
+            },
+        )
+        .data;
+        assert_eq!(
+            batch.total_records, streamed.total_records,
+            "shards={shards}: head-count"
+        );
+        assert_eq!(
+            batch.stored_bytes, streamed.stored_bytes,
+            "shards={shards}: identical batch boundaries compress to identical bytes"
+        );
+        let rebuilt = streamed
+            .trace_set
+            .as_ref()
+            .expect("retain keeps the fact tables");
+        assert_eq!(
+            batch.trace_set.records, rebuilt.records,
+            "shards={shards}: record table"
+        );
+        assert_eq!(
+            batch.trace_set.instances, rebuilt.instances,
+            "shards={shards}: open/close instance table"
+        );
+        assert_eq!(
+            batch.trace_set.names, rebuilt.names,
+            "shards={shards}: name table"
+        );
+    }
 }
 
 #[test]
 fn streaming_study_is_deterministic() {
     let config = StudyConfig::smoke_test(34);
-    let a = Study::run_streaming(&config, &StreamOptions::default());
-    let b = Study::run_streaming(&config, &StreamOptions::default());
+    let a = Study::run_sharded(&config, &ShardOptions::default()).data;
+    let b = Study::run_sharded(&config, &ShardOptions::default()).data;
     assert_eq!(a.total_records, b.total_records);
     assert_eq!(a.stored_bytes, b.stored_bytes);
     assert_eq!(a.summary.records, b.summary.records);
@@ -180,13 +194,14 @@ fn multi_day_faulted_fleet_keeps_streaming_and_batch_tables_identical() {
     assert_eq!(config.machines.len(), 45, "paper fleet");
 
     let batch = Study::run(&config);
-    let streamed = Study::run_streaming(
+    let streamed = Study::run_sharded(
         &config,
-        &StreamOptions {
+        &ShardOptions {
             retain: true,
-            ..StreamOptions::default()
+            ..ShardOptions::default()
         },
-    );
+    )
+    .data;
     let lost: u64 = streamed.machines.iter().map(|m| m.loss.lost()).sum();
     assert!(lost > 0, "the lossy plan should have dropped records");
     assert!(
@@ -338,14 +353,15 @@ fn warehouse_reimport_of_the_faulted_fleet_is_bit_identical_to_live_ingest() {
     let config = locked_fleet();
     let dir = std::env::temp_dir().join(format!("nt-determinism-warehouse-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut live = Study::run_streaming(
+    let mut live = Study::run_sharded(
         &config,
-        &StreamOptions {
+        &ShardOptions {
             retain: true,
             warehouse: Some(dir.clone()),
-            ..StreamOptions::default()
+            ..ShardOptions::default()
         },
-    );
+    )
+    .data;
     assert!(live.total_lost() > 0, "the lossy plan should have fired");
     let stats = live.warehouse.take().expect("export stats present");
     assert_eq!(stats.len(), 45, "one segment per machine");
@@ -357,9 +373,9 @@ fn warehouse_reimport_of_the_faulted_fleet_is_bit_identical_to_live_ingest() {
 
     let mut ingest = Study::ingest_warehouse(
         &dir,
-        &StreamOptions {
+        &ShardOptions {
             retain: true,
-            ..StreamOptions::default()
+            ..ShardOptions::default()
         },
     )
     .expect("the exported warehouse re-ingests");
@@ -411,14 +427,15 @@ fn paper_shaped_streaming_run_stays_under_the_memory_ceiling() {
     config.web_cache_files = 100;
     let spill_dir =
         std::env::temp_dir().join(format!("nt-determinism-spill-{}", std::process::id()));
-    let data = Study::run_streaming(
+    let data = Study::run_sharded(
         &config,
-        &StreamOptions {
+        &ShardOptions {
             retain: false,
             spill_dir: Some(spill_dir.clone()),
-            ..StreamOptions::default()
+            ..ShardOptions::default()
         },
-    );
+    )
+    .data;
     let _ = std::fs::remove_dir_all(&spill_dir);
     assert_eq!(data.machines.len(), 45);
     assert!(data.trace_set.is_none(), "nothing materialized");

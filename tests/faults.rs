@@ -201,7 +201,7 @@ fn squeeze_probability_one_squeezes_the_whole_fleet() {
 }
 
 #[test]
-fn partition_fails_remote_requests() {
+fn network_partition_fails_remote_requests() {
     // Cut the network for the entire run: every request against the
     // user's share must come back NetworkUnreachable, and the failures
     // land in the machine's counters and its trace.

@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use nt_study::{StreamOptions, Study, StudyConfig};
+use nt_study::{ShardOptions, Study, StudyConfig};
 
 const GOLDEN_SEED: u64 = 1999; // SOSP'99.
 
@@ -48,7 +48,7 @@ fn golden_path() -> PathBuf {
 /// Computes every locked metric from a fresh streaming run.
 fn measure() -> BTreeMap<String, f64> {
     let config = StudyConfig::smoke_test(GOLDEN_SEED);
-    let data = Study::run_streaming(&config, &StreamOptions::default());
+    let data = Study::run_sharded(&config, &ShardOptions::default()).data;
     let s = &data.summary;
     let mut m = BTreeMap::new();
     // Head counts — any drift here means the pipeline changed behaviour.

@@ -18,7 +18,7 @@
 //!    of order* failover delivery happened to run — a scheduling fact,
 //!    not an analytical one — so they are zeroed before the comparison.
 
-use nt_study::{ShardOptions, StreamOptions, Study, StudyConfig};
+use nt_study::{ShardOptions, Study, StudyConfig};
 
 /// The flat pipeline's documented analysis-state ceiling for the
 /// paper's 45-machine deployment (see `tests/determinism.rs` and
@@ -150,13 +150,17 @@ fn scrub_watermarks(summary: &mut nt_analysis::StudySummary) {
 
 #[test]
 fn digests_are_bit_identical_across_shard_and_worker_counts() {
-    let mut flat = Study::run_streaming(
+    // The reference: one shard on one worker — the flat topology,
+    // serially scheduled.
+    let mut flat = Study::run_sharded(
         &faulted_fleet(false),
-        &StreamOptions {
+        &ShardOptions {
+            workers: Some(1),
             retain: true,
-            ..StreamOptions::default()
+            ..ShardOptions::default()
         },
-    );
+    )
+    .data;
     let reference = digest_tables(&flat);
     assert!(flat.total_lost() > 0, "the lossy plan should drop records");
     let mut want = std::mem::take(&mut flat.summary);
@@ -164,7 +168,7 @@ fn digests_are_bit_identical_across_shard_and_worker_counts() {
 
     // (shards, workers, telemetry) — every axis the issue names.
     let variants: &[(usize, Option<usize>, bool)] = &[
-        (1, Some(1), false),
+        (1, None, false),
         (4, Some(1), false),
         (4, None, false),
         (8, None, false),

@@ -18,7 +18,7 @@
 use std::path::PathBuf;
 
 use nt_io::{EventKind, MajorFunction, NtStatus};
-use nt_study::{ShardOptions, StreamOptions, Study, StudyConfig};
+use nt_study::{ShardOptions, Study, StudyConfig};
 use nt_trace::{NameRecord, TraceRecord};
 use nt_warehouse::{import_strace, NttError, Segment, SegmentWriter, Warehouse, NTT_VERSION};
 
@@ -281,9 +281,9 @@ fn strace_import_feeds_the_full_analysis_pipeline() {
 
     let ingest = Study::ingest_warehouse(
         &dir,
-        &StreamOptions {
+        &ShardOptions {
             retain: true,
-            ..StreamOptions::default()
+            ..ShardOptions::default()
         },
     )
     .expect("imported segment ingests");
@@ -313,19 +313,21 @@ fn strace_import_feeds_the_full_analysis_pipeline() {
 #[test]
 fn flat_and_sharded_exports_write_identical_segments() {
     // Shard count is a pure performance knob — the sharded export must
-    // produce byte-for-byte the same segment files as the flat one,
-    // because each machine's canonical stream is independent of which
-    // pool carried it.
+    // produce byte-for-byte the same segment files as the flat one (one
+    // shard, one worker), because each machine's canonical stream is
+    // independent of which pool carried it.
     let config = StudyConfig::smoke_test(11);
     let flat_dir = temp_dir("flat");
     let shard_dir = temp_dir("sharded");
-    let flat = Study::run_streaming(
+    let flat = Study::run_sharded(
         &config,
-        &StreamOptions {
+        &ShardOptions {
+            workers: Some(1),
             warehouse: Some(flat_dir.clone()),
-            ..StreamOptions::default()
+            ..ShardOptions::default()
         },
-    );
+    )
+    .data;
     let sharded = Study::run_sharded(
         &config,
         &ShardOptions {

@@ -17,7 +17,7 @@ use nt_analysis::TraceSet;
 use nt_cache::CacheConfig;
 use nt_io::DiskParams;
 use nt_study::{
-    audit_variant, FaultPlan, ReplayConfig, StreamOptions, Study, StudyConfig, WhatIfError,
+    audit_variant, FaultPlan, ReplayConfig, ShardOptions, Study, StudyConfig, WhatIfError,
     WhatIfReport, WhatIfStudy,
 };
 use nt_warehouse::Warehouse;
@@ -79,14 +79,16 @@ fn fixture() -> &'static Fixture {
     DATA.get_or_init(|| {
         let dir = std::env::temp_dir().join(format!("nt-whatif-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let data = Study::run_streaming(
+        let data = Study::run_sharded(
             &faulted_fleet(),
-            &StreamOptions {
+            &ShardOptions {
+                workers: Some(1),
                 retain: true,
                 warehouse: Some(dir.clone()),
-                ..StreamOptions::default()
+                ..ShardOptions::default()
             },
-        );
+        )
+        .data;
         let trace = data.trace_set.expect("retained");
         let live_serial = matrix()
             .workers(1)
