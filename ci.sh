@@ -57,6 +57,10 @@ cargo test -q --offline
 step "conservation audit (ledger reconciliation + differential harness)"
 cargo test -q --offline --test audit
 
+step "fact-table rebuild and report lock (merge oracle, golden report text, sharded report == batch report)"
+cargo test -q --offline --test proptests fact_table_build_equals_the_sorted_concatenation
+cargo test -q --offline --test report_lock
+
 step "telemetry non-perturbation (obs suite: fact tables identical on/off)"
 cargo test -q --offline --test obs
 

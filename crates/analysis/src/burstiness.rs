@@ -225,12 +225,17 @@ pub fn burstiness(ts: &TraceSet, seed: u64) -> Burstiness {
 /// fleet-wide and they are excised before the Poisson contrast. With no
 /// windows this is exactly [`burstiness`].
 pub fn burstiness_excluding(ts: &TraceSet, seed: u64, lossy: &LossWindows) -> Burstiness {
-    let ticks = open_arrival_ticks(ts);
-    let holes = lossy.flattened();
+    burstiness_of_ticks(&open_arrival_ticks(ts), seed, &lossy.flattened())
+}
+
+/// The figure-8 analysis over open-arrival ticks already extracted with
+/// [`open_arrival_ticks`], with the `holes` windows excised from the bins
+/// (none for [`burstiness`]).
+pub fn burstiness_of_ticks(ticks: &[u64], seed: u64, holes: &[TickWindow]) -> Burstiness {
     let scales = [1u64, 10, 100]
         .iter()
         .map(|&s| {
-            let traced = bin_arrivals_excluding(&ticks, s, &holes);
+            let traced = bin_arrivals_excluding(ticks, s, holes);
             let poisson = poisson_synthesis(&traced, seed ^ s);
             ScaleComparison { traced, poisson }
         })

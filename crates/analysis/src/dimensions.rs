@@ -217,7 +217,7 @@ impl TypeCube {
             .filter(|(l, _)| l.top() == top)
             .map(|(l, m)| (*l, *m))
             .collect();
-        rows.sort_by_key(|(_, m)| std::cmp::Reverse(m.bytes()));
+        rows.sort_by_key(|(l, m)| (std::cmp::Reverse(m.bytes()), *l));
         rows
     }
 

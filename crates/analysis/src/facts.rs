@@ -46,6 +46,31 @@ impl FactTable {
         Self::default()
     }
 
+    /// An empty table with room for `rows` rows in every column.
+    pub(crate) fn with_capacity(rows: usize) -> Self {
+        FactTable {
+            machine: Vec::with_capacity(rows),
+            code: Vec::with_capacity(rows),
+            flags: Vec::with_capacity(rows),
+            status: Vec::with_capacity(rows),
+            set_info: Vec::with_capacity(rows),
+            access: Vec::with_capacity(rows),
+            disposition: Vec::with_capacity(rows),
+            options: Vec::with_capacity(rows),
+            file_object: Vec::with_capacity(rows),
+            fcb: Vec::with_capacity(rows),
+            process: Vec::with_capacity(rows),
+            volume: Vec::with_capacity(rows),
+            offset: Vec::with_capacity(rows),
+            length: Vec::with_capacity(rows),
+            transferred: Vec::with_capacity(rows),
+            file_size: Vec::with_capacity(rows),
+            byte_offset: Vec::with_capacity(rows),
+            start_ticks: Vec::with_capacity(rows),
+            end_ticks: Vec::with_capacity(rows),
+        }
+    }
+
     /// Rows in the table.
     pub fn len(&self) -> usize {
         self.machine.len()
@@ -77,13 +102,6 @@ impl FactTable {
         self.byte_offset.push(r.byte_offset);
         self.start_ticks.push(r.start_ticks);
         self.end_ticks.push(r.end_ticks);
-    }
-
-    /// Appends a whole machine stream.
-    pub fn extend(&mut self, machine: u32, records: &[TraceRecord]) {
-        for r in records {
-            self.push(machine, r);
-        }
     }
 
     /// Reconstructs row `i` as the record that was pushed.
@@ -181,40 +199,6 @@ impl FactTable {
     pub fn is_paging(&self, i: usize) -> bool {
         self.flags[i] & TraceRecord::FLAG_PAGING != 0
     }
-
-    /// Sorts the table by `(start_ticks, machine, file_object)` — the
-    /// collection order every analysis assumes. Columns are permuted
-    /// together so rows stay intact.
-    pub fn sort_by_time(&mut self) {
-        let mut perm: Vec<u32> = (0..self.len() as u32).collect();
-        perm.sort_by_key(|&i| {
-            let i = i as usize;
-            (self.start_ticks[i], self.machine[i], self.file_object[i])
-        });
-        fn apply<T: Copy>(perm: &[u32], col: &mut Vec<T>) {
-            let out: Vec<T> = perm.iter().map(|&i| col[i as usize]).collect();
-            *col = out;
-        }
-        apply(&perm, &mut self.machine);
-        apply(&perm, &mut self.code);
-        apply(&perm, &mut self.flags);
-        apply(&perm, &mut self.status);
-        apply(&perm, &mut self.set_info);
-        apply(&perm, &mut self.access);
-        apply(&perm, &mut self.disposition);
-        apply(&perm, &mut self.options);
-        apply(&perm, &mut self.file_object);
-        apply(&perm, &mut self.fcb);
-        apply(&perm, &mut self.process);
-        apply(&perm, &mut self.volume);
-        apply(&perm, &mut self.offset);
-        apply(&perm, &mut self.length);
-        apply(&perm, &mut self.transferred);
-        apply(&perm, &mut self.file_size);
-        apply(&perm, &mut self.byte_offset);
-        apply(&perm, &mut self.start_ticks);
-        apply(&perm, &mut self.end_ticks);
-    }
 }
 
 impl FromIterator<(u32, TraceRecord)> for FactTable {
@@ -273,20 +257,6 @@ mod tests {
         let rows: Vec<(u32, TraceRecord)> = t.iter().collect();
         assert_eq!(rows.len(), 10);
         assert_eq!(rows[4], (3, rec(4)));
-    }
-
-    #[test]
-    fn sort_permutes_all_columns_together() {
-        let mut t = FactTable::new();
-        // start_ticks decrease with i, so sorting reverses the rows.
-        for i in 0..6 {
-            t.push(1, &rec(i));
-        }
-        t.sort_by_time();
-        assert!(t.start_ticks().windows(2).all(|w| w[0] <= w[1]));
-        for i in 0..6 {
-            assert_eq!(t.get(i), rec(5 - i as u64), "row stayed intact");
-        }
     }
 
     #[test]

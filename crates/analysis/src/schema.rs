@@ -475,28 +475,208 @@ impl InstanceBuilder {
     }
 }
 
+/// One machine's record stream and name records, in [`TraceSet::build`]
+/// input shape.
+pub type MachineStream = (u32, Vec<TraceRecord>, Vec<NameRecord>);
+
+/// One stream after its per-machine pass: its records and its instances,
+/// each stably sorted by `(ticks, file_object)`, and its names (the last
+/// record for a file object wins).
+struct SortedRun {
+    machine: u32,
+    records: Vec<TraceRecord>,
+    instances: Vec<Instance>,
+    names: HashMap<u64, String>,
+}
+
+impl SortedRun {
+    /// The per-machine half of [`TraceSet::build`].
+    fn new((machine, mut records, name_recs): MachineStream) -> SortedRun {
+        let names: HashMap<u64, String> = name_recs
+            .into_iter()
+            .map(|n| (n.file_object, n.path))
+            .collect();
+        let mut builder = InstanceBuilder::new(machine);
+        for rec in &records {
+            builder.push(rec);
+        }
+        let mut instances = builder.finish();
+        instances.sort_by_key(|i| (i.open_start_ticks, i.file_object));
+        records.sort_by_key(|r| (r.start_ticks, r.file_object));
+        SortedRun {
+            machine,
+            records,
+            instances,
+            names,
+        }
+    }
+}
+
+/// The order in which a k-way merge of sorted runs takes its elements:
+/// one run index per element. `key(run, i)` is the merge key of element
+/// `i` of `run`; equal keys go to the earlier run, so the merge is the
+/// stable sort of the runs' concatenation.
+fn merge_order<K: Ord>(lens: &[usize], key: impl Fn(usize, usize) -> K) -> Vec<u32> {
+    use std::cmp::Reverse;
+    use std::collections::binary_heap::{BinaryHeap, PeekMut};
+    let mut next = vec![0usize; lens.len()];
+    let mut heap: BinaryHeap<Reverse<(K, usize)>> = lens
+        .iter()
+        .enumerate()
+        .filter(|(_, &len)| len > 0)
+        .map(|(run, _)| Reverse((key(run, 0), run)))
+        .collect();
+    let mut order = Vec::with_capacity(lens.iter().sum());
+    while let Some(mut top) = heap.peek_mut() {
+        let run = top.0 .1;
+        order.push(run as u32);
+        next[run] += 1;
+        if next[run] < lens[run] {
+            *top = Reverse((key(run, next[run]), run));
+        } else {
+            PeekMut::pop(top);
+        }
+    }
+    order
+}
+
+/// The root half of [`TraceSet::build`] for the rows: merges the runs'
+/// sorted records by `(start_ticks, machine, file_object)` straight into
+/// a table allocated at its final size.
+fn merge_records(runs: &[(u32, Vec<TraceRecord>)]) -> FactTable {
+    let lens: Vec<usize> = runs.iter().map(|(_, records)| records.len()).collect();
+    let order = merge_order(&lens, |run, i| {
+        let (machine, records) = &runs[run];
+        (records[i].start_ticks, *machine, records[i].file_object)
+    });
+    let mut table = FactTable::with_capacity(order.len());
+    let mut next = vec![0usize; runs.len()];
+    for &run in &order {
+        let (machine, records) = &runs[run as usize];
+        table.push(*machine, &records[next[run as usize]]);
+        next[run as usize] += 1;
+    }
+    table
+}
+
+/// The root half of [`TraceSet::build`] for the name dimension and the
+/// instances: fills the one name map in stream order, resolves every
+/// instance's path from it, and merges the runs' sorted instances
+/// by `(open_start_ticks, machine, file_object)`. The runs are moved into
+/// one buffer, each run's own buffer freed as it goes, and the merge
+/// permutes that buffer in place, so the instance table is never held
+/// twice.
+fn merge_instances(
+    runs: Vec<(u32, Vec<Instance>, HashMap<u64, String>)>,
+) -> (Vec<Instance>, HashMap<(u32, u64), String>) {
+    let mut names = HashMap::with_capacity(runs.iter().map(|r| r.2.len()).sum());
+    let mut lens = Vec::with_capacity(runs.len());
+    let mut instances = Vec::with_capacity(runs.iter().map(|r| r.1.len()).sum());
+    for (machine, run, run_names) in runs {
+        names.extend(
+            run_names
+                .into_iter()
+                .map(|(fo, path)| ((machine, fo), path)),
+        );
+        lens.push(run.len());
+        instances.extend(run);
+    }
+    InstanceBuilder::assign_paths(&mut instances, &names);
+    let mut starts = Vec::with_capacity(lens.len());
+    let mut at = 0;
+    for len in &lens {
+        starts.push(at);
+        at += len;
+    }
+    let order = merge_order(&lens, |run, i| {
+        let inst = &instances[starts[run] + i];
+        (inst.open_start_ticks, inst.machine, inst.file_object)
+    });
+    let source = order
+        .iter()
+        .map(|&run| {
+            let i = starts[run as usize];
+            starts[run as usize] += 1;
+            i as u32
+        })
+        .collect();
+    permute(&mut instances, source);
+    (instances, names)
+}
+
+/// Reorders `items` in place so that `items[k]` becomes the old
+/// `items[source[k]]`, following the permutation's cycles with swaps —
+/// no second copy of the items.
+fn permute<T>(items: &mut [T], mut source: Vec<u32>) {
+    for start in 0..items.len() {
+        let mut k = start;
+        while source[k] as usize != start {
+            let from = source[k] as usize;
+            items.swap(k, from);
+            source[k] = k as u32;
+            k = from;
+        }
+        source[k] = k as u32;
+    }
+}
+
 impl TraceSet {
     /// Builds the fact tables from per-machine record streams.
-    pub fn build(
-        streams: impl IntoIterator<Item = (u32, Vec<TraceRecord>, Vec<NameRecord>)>,
-    ) -> TraceSet {
-        let mut records = FactTable::new();
-        let mut instances = Vec::new();
-        let mut names = HashMap::new();
-        for (machine, recs, name_recs) in streams {
-            for n in name_recs {
-                names.insert((machine, n.file_object), n.path);
+    ///
+    /// The result is the concatenation of the streams, with the rows
+    /// stably sorted by `(start_ticks, machine, file_object)` and the
+    /// instances by `(open_start_ticks, machine, file_object)`: rows that
+    /// tie keep their stream order, also when streams share a machine id.
+    /// `names` is one map filled in stream order (the last record for a
+    /// `(machine, file object)` wins), and every instance's path comes
+    /// from it.
+    ///
+    /// The per-stream work — the instance pass and both presorts — runs
+    /// on [`nt_trace::steal::run_indexed`], one task per stream; a single
+    /// stream builds inline, with no thread. The calling thread then
+    /// k-way merges the sorted records into the table, frees them, and
+    /// merges the instances. Streams are consumed: records and name
+    /// strings are moved or freed, and only the path each instance keeps
+    /// is a copy.
+    pub fn build(streams: impl IntoIterator<Item = MachineStream>) -> TraceSet {
+        let streams: Vec<MachineStream> = streams.into_iter().collect();
+        let n = streams.len();
+        let runs: Vec<SortedRun> = if n <= 1 {
+            streams.into_iter().map(SortedRun::new).collect()
+        } else {
+            let slots: Vec<std::sync::Mutex<Option<MachineStream>>> = streams
+                .into_iter()
+                .map(|s| std::sync::Mutex::new(Some(s)))
+                .collect();
+            let (runs, panic) = nt_trace::run_indexed(n, nt_trace::default_workers(n), |i| {
+                let stream = slots[i]
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .take()
+                    .expect("each stream is taken once");
+                SortedRun::new(stream)
+            });
+            if let Some(p) = panic {
+                panic!("fact-table build, stream {}: {}", p.index, p.message);
             }
-            let mut builder = InstanceBuilder::new(machine);
-            for rec in &recs {
-                builder.push(rec);
-            }
-            instances.extend(builder.finish());
-            records.extend(machine, &recs);
-        }
-        InstanceBuilder::assign_paths(&mut instances, &names);
-        records.sort_by_time();
-        instances.sort_by_key(|i| (i.open_start_ticks, i.machine, i.file_object));
+            runs.into_iter()
+                .map(|run| run.expect("every stream was built"))
+                .collect()
+        };
+        let (raw, sessions): (Vec<_>, Vec<_>) = runs
+            .into_iter()
+            .map(|run| {
+                (
+                    (run.machine, run.records),
+                    (run.machine, run.instances, run.names),
+                )
+            })
+            .unzip();
+        let records = merge_records(&raw);
+        // Free the raw records before the instance merge allocates, so
+        // the two tables' transient copies never coexist.
+        drop(raw);
+        let (instances, names) = merge_instances(sessions);
         TraceSet {
             records,
             instances,

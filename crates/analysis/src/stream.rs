@@ -30,14 +30,11 @@ use nt_trace::{BatchMeta, MachineId, NameRecord, ShipmentConsumer, TraceRecord, 
 use crate::arrivals::ArrivalAccumulator;
 use crate::latency::LatencyAccumulator;
 use crate::ops::OpsAccumulator;
-use crate::schema::{InstanceBuilder, TraceSet};
+use crate::schema::{InstanceBuilder, MachineStream, TraceSet};
 use crate::sessions::SessionAccumulator;
 use crate::sizes::SizeAccumulator;
 use crate::sketch::SpillRuns;
 use crate::tails::hill_estimator_from_tail;
-
-/// One machine's reassembled stream, in [`TraceSet::build`] input shape.
-type MachineStream = (u32, Vec<TraceRecord>, Vec<NameRecord>);
 
 /// Configuration of the streaming sinks.
 #[derive(Clone, Debug)]

@@ -8,7 +8,7 @@
 //! ```
 
 use nt_bench::{run_study, Scale};
-use nt_study::report;
+use nt_study::report::{self, Analyses};
 
 fn usage() -> ! {
     eprintln!(
@@ -56,9 +56,9 @@ fn run_replay(data: &nt_study::StudyData) -> String {
     out
 }
 
-fn write_csvs(data: &nt_study::StudyData, dir: &str) {
+fn write_csvs(data: &nt_study::StudyData, analyses: &Analyses, dir: &str) {
     std::fs::create_dir_all(dir).expect("create csv dir");
-    for (name, points) in report::csv_series(data) {
+    for (name, points) in report::csv_series(data, analyses) {
         let mut body = String::from("x,percent\n");
         for (x, y) in points {
             body.push_str(&format!("{x},{y}\n"));
@@ -111,32 +111,40 @@ fn main() {
         t0.elapsed().as_secs_f64()
     );
 
+    // Computed on first use, so `--replay` alone runs no report analysis.
+    let analyses = std::cell::OnceCell::new();
+    let analyses = || analyses.get_or_init(|| Analyses::compute(&data));
     if let Some(dir) = &csv_dir {
-        write_csvs(&data, dir);
+        write_csvs(&data, analyses(), dir);
     }
     for want in wants {
+        if want == "replay" {
+            print!("{}", run_replay(&data));
+            println!();
+            continue;
+        }
+        let a = analyses();
         let out = match want.as_str() {
-            "all" => report::full_report(&data),
-            "replay" => run_replay(&data),
-            "table1" => report::table1(&data),
-            "table2" => report::table2(&data),
-            "table3" => report::table3(&data),
-            "fig1" | "fig2" => report::fig_runs(&data),
-            "fig3" | "fig4" => report::fig_sizes(&data),
-            "fig5" => report::fig5(&data),
-            "fig6" | "fig7" => report::fig_lifetimes(&data),
-            "fig8" => report::fig8(&data),
-            "fig9" => report::fig9(&data),
-            "fig10" => report::fig10(&data),
-            "fig11" => report::fig11(&data),
-            "fig12" => report::fig12(&data),
-            "fig13" | "fig14" => report::fig_paths(&data),
-            "section4" => report::section4(&data),
-            "section5" => report::section5(&data),
-            "section7" => report::section7(&data),
-            "section8" => report::section8(&data),
-            "section9" => report::section9(&data),
-            "section10" => report::section10(&data),
+            "all" => report::render_report(&data, a),
+            "table1" => report::table1(&data, a),
+            "table2" => report::table2(&data, a),
+            "table3" => report::table3(&data, a),
+            "fig1" | "fig2" => report::fig_runs(&data, a),
+            "fig3" | "fig4" => report::fig_sizes(&data, a),
+            "fig5" => report::fig5(&data, a),
+            "fig6" | "fig7" => report::fig_lifetimes(&data, a),
+            "fig8" => report::fig8(&data, a),
+            "fig9" => report::fig9(&data, a),
+            "fig10" => report::fig10(&data, a),
+            "fig11" => report::fig11(&data, a),
+            "fig12" => report::fig12(&data, a),
+            "fig13" | "fig14" => report::fig_paths(&data, a),
+            "section4" => report::section4(&data, a),
+            "section5" => report::section5(&data, a),
+            "section7" => report::section7(&data, a),
+            "section8" => report::section8(&data, a),
+            "section9" => report::section9(&data, a),
+            "section10" => report::section10(&data, a),
             other => {
                 eprintln!("unknown artefact: {other}");
                 usage()

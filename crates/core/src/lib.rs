@@ -16,7 +16,9 @@
 //! let config = StudyConfig::smoke_test(42);
 //! let data = Study::run(&config);
 //! assert!(data.trace_set.records.len() > 100);
-//! let table2 = nt_study::report::table2(&data);
+//! // Every analysis the report reads, computed once and in parallel.
+//! let analyses = nt_study::report::Analyses::compute(&data);
+//! let table2 = nt_study::report::table2(&data, &analyses);
 //! assert!(table2.contains("10-minute"));
 //! ```
 

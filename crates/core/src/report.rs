@@ -4,16 +4,243 @@
 //! same rows (tables) or series (figures) the paper prints, so a run of
 //! the benchmark harness can be compared side-by-side with the published
 //! numbers (see EXPERIMENTS.md for that comparison).
+//!
+//! The work is split in two. [`Analyses::compute`] runs every analysis the
+//! report reads exactly once, as independent tasks on the work-stealing
+//! pool ([`nt_trace::steal::run_indexed`]): one task per fact-table
+//! analysis and one §5 content/churn task per machine. The artefact
+//! functions then only format an [`Analyses`]. Every analysis is a pure
+//! function of the study data, so the text does not depend on how the
+//! tasks were scheduled.
 
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 
 use nt_analysis::{
-    activity, arrivals, burstiness, cdf::Cdf, content, dimensions, latency, lifetimes, ops,
+    activity, arrivals, burstiness, cdf::Cdf, content, dimensions, latency, lifetimes, ops, paging,
     patterns, processes, runs, sessions, sizes, tails,
 };
 use nt_workload::UsageCategory;
 
-use crate::study::StudyData;
+use crate::study::{MachineOutput, StudyData};
+
+/// Every analysis the report formats, each computed once.
+pub struct Analyses {
+    /// §8 operational statistics.
+    ops: ops::OperationalStats,
+    /// Figures 13–14 and §10: latency and size per request path.
+    paths: latency::PathLatencies,
+    /// Figures 6–7: new-file lifetimes.
+    lifetimes: lifetimes::Lifetimes,
+    /// §6.3: close-to-overwrite gaps, ms.
+    close_to_overwrite_ms: Cdf,
+    /// §6.3: close-to-delete gaps, ms.
+    close_to_delete_ms: Cdf,
+    /// Table 2: user activity.
+    activity: activity::UserActivity,
+    /// Figures 5 and 12: session durations.
+    sessions: sessions::SessionDurations,
+    /// Figures 3–4: accessed file sizes.
+    sizes: sizes::AccessedSizes,
+    /// Table 3: access patterns.
+    patterns: patterns::AccessPatternTable,
+    /// Figures 1–2: sequential run lengths.
+    runs: runs::SequentialRuns,
+    /// Figures 8–10 and table 1's α.
+    arrival_times: ArrivalTimes,
+    /// Figure 11: open inter-arrivals per usage type.
+    arrivals: arrivals::OpenArrivals,
+    /// §4: the file-type cube.
+    cube: dimensions::TypeCube,
+    /// §7: per-process activity.
+    processes: processes::ProcessAnalysis,
+    /// §9: paging-write bursts.
+    paging: paging::PagingBursts,
+    /// §9: sessions that only read.
+    read_sessions: usize,
+    /// §9: read-only sessions with at most one paging read.
+    single_prefetch_sessions: usize,
+    /// §5: one entry per machine, in machine order; `None` when the
+    /// machine has no snapshot of its local volume.
+    content: Vec<Option<MachineContent>>,
+}
+
+/// Figures 8–10 and table 1's α: everything derived from one extraction
+/// of the open-arrival timestamps.
+struct ArrivalTimes {
+    /// Figure 8: open arrivals at three scales against Poisson.
+    burstiness: burstiness::Burstiness,
+    /// Figure 8: variance-time fits of the 1-second bins, traced and
+    /// Poisson.
+    variance_time: Option<(burstiness::VarianceTime, burstiness::VarianceTime)>,
+    /// Table 1: Hill α of the positive inter-arrival gaps (ticks).
+    hill_alpha: f64,
+    /// Figure 9: the gaps against Normal and Pareto.
+    qq: tails::QqPlot,
+    /// Figure 10: the tail of the gaps in ms.
+    llcd: tails::Llcd,
+}
+
+/// §5's view of one machine's local volume (volume 0).
+struct MachineContent {
+    /// Content of the last snapshot.
+    stats: content::ContentStats,
+    /// Churn from the first to the last snapshot, when there are two.
+    churn: Option<content::ChurnStats>,
+}
+
+fn machine_content(m: &MachineOutput) -> Option<MachineContent> {
+    let locals: Vec<&nt_trace::Snapshot> = m
+        .snapshots
+        .iter()
+        .filter(|s| s.volume == nt_fs::VolumeId(0))
+        .collect();
+    let (first, last) = (locals.first()?, locals.last()?);
+    Some(MachineContent {
+        stats: content::content_stats(last),
+        churn: (locals.len() >= 2).then(|| content::churn_stats(first, last)),
+    })
+}
+
+/// Result slots of the analysis tasks, one per task kind.
+#[derive(Default)]
+struct Slots {
+    ops: OnceLock<ops::OperationalStats>,
+    paths: OnceLock<latency::PathLatencies>,
+    lifetimes: OnceLock<(lifetimes::Lifetimes, Cdf, Cdf)>,
+    activity: OnceLock<activity::UserActivity>,
+    sessions: OnceLock<sessions::SessionDurations>,
+    sizes: OnceLock<sizes::AccessedSizes>,
+    patterns: OnceLock<patterns::AccessPatternTable>,
+    runs: OnceLock<runs::SequentialRuns>,
+    arrival_times: OnceLock<ArrivalTimes>,
+    arrivals: OnceLock<arrivals::OpenArrivals>,
+    cube: OnceLock<dimensions::TypeCube>,
+    processes: OnceLock<processes::ProcessAnalysis>,
+    paging: OnceLock<(paging::PagingBursts, usize, usize)>,
+}
+
+/// Fact-table analysis tasks; the per-machine §5 tasks follow them.
+const TABLE_TASKS: usize = 13;
+
+impl Analyses {
+    /// Runs every analysis once, in parallel, one worker per available
+    /// core ([`nt_trace::steal::default_workers`]). A panicking analysis
+    /// panics here, naming its task.
+    pub fn compute(data: &StudyData) -> Analyses {
+        let ts = &data.trace_set;
+        let slots = Slots::default();
+        let content: Vec<OnceLock<Option<MachineContent>>> =
+            data.machines.iter().map(|_| OnceLock::new()).collect();
+        let tasks = TABLE_TASKS + data.machines.len();
+        let (_, panic) =
+            nt_trace::steal::run_indexed(tasks, nt_trace::steal::default_workers(tasks), |task| {
+                match task {
+                    0 => fill(&slots.ops, || ops::operational_stats(ts)),
+                    1 => fill(&slots.arrival_times, || {
+                        arrival_times(&burstiness::open_arrival_ticks(ts), data.config.seed)
+                    }),
+                    2 => fill(&slots.cube, || dimensions::type_cube(ts)),
+                    3 => fill(&slots.sessions, || sessions::session_durations(ts)),
+                    4 => fill(&slots.processes, || processes::process_analysis(ts)),
+                    5 => fill(&slots.arrivals, || arrivals::open_arrivals(ts)),
+                    6 => fill(&slots.activity, || activity::user_activity(ts)),
+                    7 => fill(&slots.paths, || latency::path_latencies(ts)),
+                    8 => fill(&slots.paging, || {
+                        let read_only =
+                            ts.instances.iter().filter(|i| i.reads > 0 && i.writes == 0);
+                        let single = read_only.clone().filter(|i| i.paging_reads <= 1).count();
+                        (
+                            paging::paging_bursts(ts, 1_000_000),
+                            read_only.count(),
+                            single,
+                        )
+                    }),
+                    9 => fill(&slots.sizes, || sizes::accessed_sizes(ts)),
+                    10 => fill(&slots.lifetimes, || {
+                        let l = lifetimes::lifetimes(ts);
+                        let after_close = |kind: lifetimes::DeathKind| {
+                            Cdf::from_samples(
+                                lifetimes::deaths_of(&l, kind)
+                                    .filter_map(|de| de.after_close_ticks)
+                                    .map(|g| g as f64 / 10_000.0),
+                            )
+                        };
+                        let overwrite = after_close(lifetimes::DeathKind::Overwrite);
+                        let delete = after_close(lifetimes::DeathKind::ExplicitDelete);
+                        (l, overwrite, delete)
+                    }),
+                    11 => fill(&slots.runs, || runs::sequential_runs(ts)),
+                    12 => fill(&slots.patterns, || patterns::access_patterns(ts)),
+                    m => fill(&content[m - TABLE_TASKS], || {
+                        machine_content(&data.machines[m - TABLE_TASKS])
+                    }),
+                }
+            });
+        if let Some(p) = panic {
+            panic!("report analysis task {}: {}", p.index, p.message);
+        }
+        let (lifetimes, close_to_overwrite_ms, close_to_delete_ms) = done(slots.lifetimes);
+        let (paging, read_sessions, single_prefetch_sessions) = done(slots.paging);
+        Analyses {
+            ops: done(slots.ops),
+            paths: done(slots.paths),
+            lifetimes,
+            close_to_overwrite_ms,
+            close_to_delete_ms,
+            activity: done(slots.activity),
+            sessions: done(slots.sessions),
+            sizes: done(slots.sizes),
+            patterns: done(slots.patterns),
+            runs: done(slots.runs),
+            arrival_times: done(slots.arrival_times),
+            arrivals: done(slots.arrivals),
+            cube: done(slots.cube),
+            processes: done(slots.processes),
+            paging,
+            read_sessions,
+            single_prefetch_sessions,
+            content: content.into_iter().map(done).collect(),
+        }
+    }
+}
+
+fn fill<T>(slot: &OnceLock<T>, f: impl FnOnce() -> T) {
+    let _ = slot.set(f());
+}
+
+fn done<T>(slot: OnceLock<T>) -> T {
+    slot.into_inner().expect("every analysis task ran")
+}
+
+/// The three-scale binning of the open-arrival timestamps, and the tail
+/// of their positive inter-arrival gaps.
+fn arrival_times(ticks: &[u64], seed: u64) -> ArrivalTimes {
+    let burstiness = burstiness::burstiness_of_ticks(ticks, seed, &[]);
+    let variance_time = burstiness
+        .scales
+        .iter()
+        .find(|s| s.traced.interval_secs == 1)
+        .map(|base| {
+            (
+                burstiness::variance_time(&base.traced),
+                burstiness::variance_time(&base.poisson),
+            )
+        });
+    let gaps: Vec<f64> = ticks
+        .windows(2)
+        .map(|w| (w[1].saturating_sub(w[0])) as f64)
+        .filter(|&g| g > 0.0)
+        .collect();
+    let gaps_ms: Vec<f64> = gaps.iter().map(|g| g / 10_000.0).collect();
+    ArrivalTimes {
+        burstiness,
+        variance_time,
+        hill_alpha: tails::hill_alpha(&gaps),
+        qq: tails::qq_plot(&gaps, 40),
+        llcd: tails::llcd(&gaps_ms, 0.1),
+    }
+}
 
 fn render_cdf(out: &mut String, title: &str, unit: &str, cdf: &Cdf, points: usize) {
     let _ = writeln!(out, "  {title} (n={})", cdf.len());
@@ -33,14 +260,15 @@ fn render_cdf(out: &mut String, title: &str, unit: &str, cdf: &Cdf, points: usiz
 }
 
 /// Table 1: the summary of observations, computed from this run.
-pub fn table1(data: &StudyData) -> String {
-    let ts = &data.trace_set;
-    let o = ops::operational_stats(ts);
-    let l = latency::path_latencies(ts);
-    let lt = lifetimes::lifetimes(ts);
-    let act = activity::user_activity(ts);
-    let s = sessions::session_durations(ts);
-    let sz = sizes::accessed_sizes(ts);
+pub fn table1(data: &StudyData, a: &Analyses) -> String {
+    let (o, l, lt, act, s, sz) = (
+        &a.ops,
+        &a.paths,
+        &a.lifetimes,
+        &a.activity,
+        &a.sessions,
+        &a.sizes,
+    );
     let cache_reads: (u64, u64) = data
         .machines
         .iter()
@@ -51,14 +279,7 @@ pub fn table1(data: &StudyData) -> String {
     } else {
         cache_reads.0 as f64 / (cache_reads.0 + cache_reads.1) as f64
     };
-    let arrival_ticks: Vec<f64> = {
-        let t = burstiness::open_arrival_ticks(ts);
-        t.windows(2)
-            .map(|w| (w[1].saturating_sub(w[0])) as f64)
-            .filter(|&g| g > 0.0)
-            .collect()
-    };
-    let alpha = tails::hill_alpha(&arrival_ticks);
+    let alpha = a.arrival_times.hill_alpha;
     let mut out = String::new();
     let _ = writeln!(out, "Table 1 — summary of observations (this run)");
     let _ = writeln!(
@@ -118,9 +339,9 @@ pub fn table1(data: &StudyData) -> String {
 
 /// Table 2: user activity at 10-minute and 10-second intervals, with the
 /// BSD and Sprite baselines.
-pub fn table2(data: &StudyData) -> String {
+pub fn table2(_data: &StudyData, analyses: &Analyses) -> String {
     use activity::baselines as b;
-    let a = activity::user_activity(&data.trace_set);
+    let a = &analyses.activity;
     let mut out = String::new();
     let _ = writeln!(out, "Table 2 — user activity (KB/s; stdev in parens)");
     let _ = writeln!(
@@ -221,8 +442,8 @@ pub fn table2(data: &StudyData) -> String {
 }
 
 /// Table 3: access patterns with per-machine ranges.
-pub fn table3(data: &StudyData) -> String {
-    let t = patterns::access_patterns(&data.trace_set);
+pub fn table3(_data: &StudyData, a: &Analyses) -> String {
+    let t = &a.patterns;
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -294,8 +515,8 @@ pub fn table3(data: &StudyData) -> String {
 }
 
 /// Figures 1–2: sequential run length CDFs.
-pub fn fig_runs(data: &StudyData) -> String {
-    let r = runs::sequential_runs(&data.trace_set);
+pub fn fig_runs(_data: &StudyData, a: &Analyses) -> String {
+    let r = &a.runs;
     let mut out = String::new();
     let _ = writeln!(out, "Figure 1 — sequential run length, weighted by files");
     render_cdf(&mut out, "read runs", "bytes", &r.read_by_files, 12);
@@ -312,8 +533,8 @@ pub fn fig_runs(data: &StudyData) -> String {
 }
 
 /// Figures 3–4: accessed file-size CDFs.
-pub fn fig_sizes(data: &StudyData) -> String {
-    let s = sizes::accessed_sizes(&data.trace_set);
+pub fn fig_sizes(_data: &StudyData, a: &Analyses) -> String {
+    let s = &a.sizes;
     let mut out = String::new();
     let _ = writeln!(out, "Figure 3 — file size CDF, weighted by opens");
     render_cdf(&mut out, "read-only", "bytes", &s.read_only_by_opens, 12);
@@ -330,8 +551,8 @@ pub fn fig_sizes(data: &StudyData) -> String {
 }
 
 /// Figure 5: open-duration CDF, all/local/network.
-pub fn fig5(data: &StudyData) -> String {
-    let s = sessions::session_durations(&data.trace_set);
+pub fn fig5(_data: &StudyData, a: &Analyses) -> String {
+    let s = &a.sessions;
     let mut out = String::new();
     let _ = writeln!(out, "Figure 5 — file open time CDF (data sessions)");
     render_cdf(&mut out, "all files", "ms", &s.data, 12);
@@ -341,8 +562,8 @@ pub fn fig5(data: &StudyData) -> String {
 }
 
 /// Figures 6–7: new-file lifetimes.
-pub fn fig_lifetimes(data: &StudyData) -> String {
-    let l = lifetimes::lifetimes(&data.trace_set);
+pub fn fig_lifetimes(_data: &StudyData, a: &Analyses) -> String {
+    let l = &a.lifetimes;
     let mut out = String::new();
     let _ = writeln!(out, "Figure 6 — lifetime of new files by deletion method");
     render_cdf(&mut out, "overwrite/truncate", "ms", &l.overwrite_ms, 12);
@@ -357,16 +578,10 @@ pub fn fig_lifetimes(data: &StudyData) -> String {
     );
     // §6.3's close-to-death latencies: overwrites follow the close almost
     // immediately; explicit deletes take seconds.
-    let after_close = |kind: lifetimes::DeathKind| {
-        Cdf::from_samples(
-            lifetimes::deaths_of(&l, kind)
-                .filter_map(|de| de.after_close_ticks)
-                .map(|g| g as f64 / 10_000.0),
-        )
-    };
-    let oc = after_close(lifetimes::DeathKind::Overwrite);
-    let dc = after_close(lifetimes::DeathKind::ExplicitDelete);
-    if let (Some(o75), Some(d60)) = (oc.quantile(0.75), dc.quantile(0.6)) {
+    if let (Some(o75), Some(d60)) = (
+        a.close_to_overwrite_ms.quantile(0.75),
+        a.close_to_delete_ms.quantile(0.6),
+    ) {
         let _ = writeln!(
             out,
             "  close-to-overwrite p75: {o75:.2} ms (paper: 0.7 ms); close-to-delete p60: {:.1} s (paper: 1.5 s)",
@@ -391,8 +606,9 @@ pub fn fig_lifetimes(data: &StudyData) -> String {
 }
 
 /// Figure 8: arrivals at three time scales vs Poisson synthesis.
-pub fn fig8(data: &StudyData) -> String {
-    let b = burstiness::burstiness(&data.trace_set, data.config.seed);
+pub fn fig8(_data: &StudyData, a: &Analyses) -> String {
+    let b = &a.arrival_times.burstiness;
+    let vt = &a.arrival_times.variance_time;
     let mut out = String::new();
     let _ = writeln!(out, "Figure 8 — open arrivals vs Poisson at three scales");
     for s in &b.scales {
@@ -409,9 +625,7 @@ pub fn fig8(data: &StudyData) -> String {
         out,
         "  (Poisson dispersion stays ~1 at every scale; traced arrivals stay overdispersed)"
     );
-    if let Some(base) = b.scales.iter().find(|s| s.traced.interval_secs == 1) {
-        let vt = burstiness::variance_time(&base.traced);
-        let vt_poisson = burstiness::variance_time(&base.poisson);
+    if let Some((vt, vt_poisson)) = vt {
         let _ = writeln!(
             out,
             "  variance-time Hurst: traced {:.2} vs poisson {:.2} (H > 0.5 = long-range dependence)",
@@ -422,14 +636,8 @@ pub fn fig8(data: &StudyData) -> String {
 }
 
 /// Figure 9: QQ comparison of the arrival sample vs Normal and Pareto.
-pub fn fig9(data: &StudyData) -> String {
-    let ticks = burstiness::open_arrival_ticks(&data.trace_set);
-    let gaps: Vec<f64> = ticks
-        .windows(2)
-        .map(|w| (w[1].saturating_sub(w[0])) as f64)
-        .filter(|&g| g > 0.0)
-        .collect();
-    let qq = tails::qq_plot(&gaps, 40);
+pub fn fig9(_data: &StudyData, a: &Analyses) -> String {
+    let qq = &a.arrival_times.qq;
     let mut out = String::new();
     let _ = writeln!(out, "Figure 9 — QQ of open inter-arrivals (ticks)");
     let _ = writeln!(
@@ -454,14 +662,8 @@ pub fn fig9(data: &StudyData) -> String {
 }
 
 /// Figure 10: LLCD plot of the arrival tail with the alpha estimate.
-pub fn fig10(data: &StudyData) -> String {
-    let ticks = burstiness::open_arrival_ticks(&data.trace_set);
-    let gaps: Vec<f64> = ticks
-        .windows(2)
-        .map(|w| (w[1].saturating_sub(w[0])) as f64 / 10_000.0)
-        .filter(|&g| g > 0.0)
-        .collect();
-    let l = tails::llcd(&gaps, 0.1);
+pub fn fig10(_data: &StudyData, a: &Analyses) -> String {
+    let l = &a.arrival_times.llcd;
     let mut out = String::new();
     let _ = writeln!(out, "Figure 10 — LLCD of open inter-arrivals (ms)");
     for (x, y) in l.points.iter().step_by((l.points.len() / 20).max(1)) {
@@ -476,8 +678,8 @@ pub fn fig10(data: &StudyData) -> String {
 }
 
 /// Figure 11: open inter-arrival CDF per usage type.
-pub fn fig11(data: &StudyData) -> String {
-    let a = arrivals::open_arrivals(&data.trace_set);
+pub fn fig11(_data: &StudyData, analyses: &Analyses) -> String {
+    let a = &analyses.arrivals;
     let mut out = String::new();
     let _ = writeln!(out, "Figure 11 — inter-arrival of open requests");
     render_cdf(&mut out, "open for I/O", "ms", &a.for_io, 12);
@@ -497,8 +699,8 @@ pub fn fig11(data: &StudyData) -> String {
 }
 
 /// Figure 12: session lifetime CDF per usage type.
-pub fn fig12(data: &StudyData) -> String {
-    let s = sessions::session_durations(&data.trace_set);
+pub fn fig12(_data: &StudyData, a: &Analyses) -> String {
+    let s = &a.sessions;
     let mut out = String::new();
     let _ = writeln!(out, "Figure 12 — file session lifetimes");
     render_cdf(&mut out, "all usage types", "ms", &s.all, 12);
@@ -514,8 +716,8 @@ pub fn fig12(data: &StudyData) -> String {
 }
 
 /// Figures 13–14: latency and size per request class.
-pub fn fig_paths(data: &StudyData) -> String {
-    let p = latency::path_latencies(&data.trace_set);
+pub fn fig_paths(_data: &StudyData, a: &Analyses) -> String {
+    let p = &a.paths;
     let mut out = String::new();
     let _ = writeln!(out, "Figure 13 — request completion latency");
     render_cdf(&mut out, "FastIO read", "us", &p.fastio_read_latency, 12);
@@ -537,8 +739,8 @@ pub fn fig_paths(data: &StudyData) -> String {
 }
 
 /// §4: the dimension-table drill-down report (the OLAP cube example).
-pub fn section4(data: &StudyData) -> String {
-    let cube = dimensions::type_cube(&data.trace_set);
+pub fn section4(_data: &StudyData, a: &Analyses) -> String {
+    let cube = &a.cube;
     let mut out = String::new();
     let _ = writeln!(out, "Section 4 — dimension drill-down (the .mbx example)");
     let _ = writeln!(
@@ -548,7 +750,7 @@ pub fn section4(data: &StudyData) -> String {
         cube.consistent()
     );
     let mut tops: Vec<_> = cube.by_top.iter().collect();
-    tops.sort_by_key(|(_, m)| std::cmp::Reverse(m.bytes()));
+    tops.sort_by_key(|(top, m)| (std::cmp::Reverse(m.bytes()), **top));
     for (top, m) in tops {
         let _ = writeln!(
             out,
@@ -572,8 +774,8 @@ pub fn section4(data: &StudyData) -> String {
 }
 
 /// §7 (process view): activity is process-controlled.
-pub fn section7(data: &StudyData) -> String {
-    let a = processes::process_analysis(&data.trace_set);
+pub fn section7(_data: &StudyData, analyses: &Analyses) -> String {
+    let a = &analyses.processes;
     let mut out = String::new();
     let _ = writeln!(out, "Section 7 — per-process activity");
     let _ = writeln!(
@@ -588,7 +790,7 @@ pub fn section7(data: &StudyData) -> String {
         a.span_alpha, a.files_alpha
     );
     let mut rows: Vec<_> = a.per_process.iter().collect();
-    rows.sort_by_key(|(_, s)| std::cmp::Reverse(s.opens));
+    rows.sort_by_key(|(key, s)| (std::cmp::Reverse(s.opens), **key));
     for ((m, p), s) in rows.into_iter().take(8) {
         let _ = writeln!(
             out,
@@ -604,20 +806,13 @@ pub fn section7(data: &StudyData) -> String {
 }
 
 /// §5: file-system content report over the snapshots.
-pub fn section5(data: &StudyData) -> String {
+pub fn section5(data: &StudyData, a: &Analyses) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Section 5 — file system content");
-    for m in &data.machines {
-        // First and last snapshot of the local volume (volume 0).
-        let locals: Vec<&nt_trace::Snapshot> = m
-            .snapshots
-            .iter()
-            .filter(|s| s.volume == nt_fs::VolumeId(0))
-            .collect();
-        let (Some(first), Some(last)) = (locals.first(), locals.last()) else {
+    for (m, content) in data.machines.iter().zip(&a.content) {
+        let Some(MachineContent { stats, churn }) = content else {
             continue;
         };
-        let stats = content::content_stats(last);
         let _ = writeln!(
             out,
             "  machine {:>2} ({:?}): {} files, {} dirs, {:.1} MB, exe/dll/font {:.0}% of bytes, \
@@ -632,8 +827,7 @@ pub fn section5(data: &StudyData) -> String {
             stats.web_cache_bytes as f64 / 1.0e6,
             100.0 * stats.inconsistent_time_fraction
         );
-        if locals.len() >= 2 {
-            let churn = content::churn_stats(first, last);
+        if let Some(churn) = churn {
             let _ = writeln!(
                 out,
                 "      churn over the period: {} files ({} removed), {:.0}% in profile, {:.0}% in web cache",
@@ -648,8 +842,8 @@ pub fn section5(data: &StudyData) -> String {
 }
 
 /// §8: operational characteristics report.
-pub fn section8(data: &StudyData) -> String {
-    let o = ops::operational_stats(&data.trace_set);
+pub fn section8(_data: &StudyData, a: &Analyses) -> String {
+    let o = &a.ops;
     let mut out = String::new();
     let _ = writeln!(out, "Section 8 — operational characteristics");
     let _ = writeln!(
@@ -703,7 +897,7 @@ pub fn section8(data: &StudyData) -> String {
 }
 
 /// §9: cache-manager report from the per-machine counters.
-pub fn section9(data: &StudyData) -> String {
+pub fn section9(data: &StudyData, a: &Analyses) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Section 9 — the cache manager");
     let mut hits = 0u64;
@@ -728,17 +922,10 @@ pub fn section9(data: &StudyData) -> String {
         100.0 * hits as f64 / (hits + misses).max(1) as f64
     );
     // Single-prefetch sufficiency: read sessions needing <= 1 read-ahead.
-    let read_sessions: Vec<&nt_analysis::Instance> = data
-        .trace_set
-        .instances
-        .iter()
-        .filter(|i| i.reads > 0 && i.writes == 0)
-        .collect();
-    let single = read_sessions.iter().filter(|i| i.paging_reads <= 1).count();
     let _ = writeln!(
         out,
         "  read sessions satisfied by a single prefetch: {:.0}% (paper: 92%)",
-        100.0 * single as f64 / read_sessions.len().max(1) as f64
+        100.0 * a.single_prefetch_sessions as f64 / a.read_sessions.max(1) as f64
     );
     let _ = writeln!(out, "  read-ahead I/Os issued: {ra_ios}");
     let _ = writeln!(
@@ -747,7 +934,7 @@ pub fn section9(data: &StudyData) -> String {
         lazy,
         lazy_bytes as f64 / 1.0e6
     );
-    let bursts = nt_analysis::paging::paging_bursts(&data.trace_set, 1_000_000);
+    let bursts = &a.paging;
     if let (Some(med), Some(p90)) = (
         bursts.write_burst_requests.median(),
         bursts.write_burst_requests.quantile(0.9),
@@ -771,8 +958,8 @@ pub fn section9(data: &StudyData) -> String {
 }
 
 /// §10: the FastIO path report.
-pub fn section10(data: &StudyData) -> String {
-    let p = latency::path_latencies(&data.trace_set);
+pub fn section10(_data: &StudyData, a: &Analyses) -> String {
+    let p = &a.paths;
     let mut out = String::new();
     let _ = writeln!(out, "Section 10 — FastIO");
     let _ = writeln!(
@@ -825,38 +1012,37 @@ pub fn category_breakdown(data: &StudyData) -> String {
 
 /// Every figure's primary series as `(name, points)` rows, for CSV
 /// export and external plotting.
-pub fn csv_series(data: &StudyData) -> Vec<(String, Vec<(f64, f64)>)> {
-    let ts = &data.trace_set;
+pub fn csv_series(_data: &StudyData, a: &Analyses) -> Vec<(String, Vec<(f64, f64)>)> {
     let mut out = Vec::new();
     let mut push = |name: &str, cdf: &Cdf| {
         out.push((name.to_string(), cdf.log_points(64)));
     };
-    let r = runs::sequential_runs(ts);
+    let r = &a.runs;
     push("fig01_read_runs_by_files", &r.read_by_files);
     push("fig01_write_runs_by_files", &r.write_by_files);
     push("fig02_read_runs_by_bytes", &r.read_by_bytes);
     push("fig02_write_runs_by_bytes", &r.write_by_bytes);
-    let sz = sizes::accessed_sizes(ts);
+    let sz = &a.sizes;
     push("fig03_read_only_by_opens", &sz.read_only_by_opens);
     push("fig03_write_only_by_opens", &sz.write_only_by_opens);
     push("fig03_read_write_by_opens", &sz.read_write_by_opens);
     push("fig04_read_only_by_bytes", &sz.read_only_by_bytes);
     push("fig04_write_only_by_bytes", &sz.write_only_by_bytes);
     push("fig04_read_write_by_bytes", &sz.read_write_by_bytes);
-    let sd = sessions::session_durations(ts);
+    let sd = &a.sessions;
     push("fig05_all_files_ms", &sd.data);
     push("fig05_local_ms", &sd.data_local);
     push("fig05_network_ms", &sd.data_network);
-    let lt = lifetimes::lifetimes(ts);
+    let lt = &a.lifetimes;
     push("fig06_overwrite_ms", &lt.overwrite_ms);
     push("fig06_delete_ms", &lt.delete_ms);
-    let ar = arrivals::open_arrivals(ts);
+    let ar = &a.arrivals;
     push("fig11_open_for_io_ms", &ar.for_io);
     push("fig11_open_for_control_ms", &ar.for_control);
     push("fig12_all_ms", &sd.all);
     push("fig12_control_ms", &sd.control);
     push("fig12_data_ms", &sd.data);
-    let pl = latency::path_latencies(ts);
+    let pl = &a.paths;
     push("fig13_fastio_read_us", &pl.fastio_read_latency);
     push("fig13_fastio_write_us", &pl.fastio_write_latency);
     push("fig13_irp_read_us", &pl.irp_read_latency);
@@ -866,33 +1052,35 @@ pub fn csv_series(data: &StudyData) -> Vec<(String, Vec<(f64, f64)>)> {
     push("fig14_irp_read_bytes", &pl.irp_read_size);
     push("fig14_irp_write_bytes", &pl.irp_write_size);
     // Figure 8's arrival counts per interval at the three scales.
-    {
-        let ticks = burstiness::open_arrival_ticks(ts);
-        for scale in [1u64, 10, 100] {
-            let binned = burstiness::bin_arrivals(&ticks, scale);
-            let series: Vec<(f64, f64)> = binned
-                .counts
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| (i as f64, c as f64))
-                .collect();
-            out.push((format!("fig08_arrivals_per_{scale}s"), series));
-        }
+    for scale in &a.arrival_times.burstiness.scales {
+        let series: Vec<(f64, f64)> = scale
+            .traced
+            .counts
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| (i as f64, c as f64))
+            .collect();
+        out.push((
+            format!("fig08_arrivals_per_{}s", scale.traced.interval_secs),
+            series,
+        ));
     }
     // Figure 10's LLCD points.
-    let ticks = burstiness::open_arrival_ticks(ts);
-    let gaps: Vec<f64> = ticks
-        .windows(2)
-        .map(|w| (w[1].saturating_sub(w[0])) as f64 / 10_000.0)
-        .filter(|&g| g > 0.0)
-        .collect();
-    let llcd = tails::llcd(&gaps, 0.1);
-    out.push(("fig10_llcd_log10".to_string(), llcd.points));
+    out.push((
+        "fig10_llcd_log10".to_string(),
+        a.arrival_times.llcd.points.clone(),
+    ));
     out
 }
 
-/// The complete report: every table, figure and section.
+/// The complete report: every table, figure and section, over analyses
+/// computed once ([`Analyses::compute`]).
 pub fn full_report(data: &StudyData) -> String {
+    render_report(data, &Analyses::compute(data))
+}
+
+/// [`full_report`] over analyses already computed.
+pub fn render_report(data: &StudyData, a: &Analyses) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -904,25 +1092,25 @@ pub fn full_report(data: &StudyData) -> String {
         data.stored_bytes as f64 / 1.0e6
     );
     for part in [
-        table1(data),
-        table2(data),
-        table3(data),
-        section4(data),
-        section7(data),
-        fig_runs(data),
-        fig_sizes(data),
-        fig5(data),
-        fig_lifetimes(data),
-        fig8(data),
-        fig9(data),
-        fig10(data),
-        fig11(data),
-        fig12(data),
-        fig_paths(data),
-        section5(data),
-        section8(data),
-        section9(data),
-        section10(data),
+        table1(data, a),
+        table2(data, a),
+        table3(data, a),
+        section4(data, a),
+        section7(data, a),
+        fig_runs(data, a),
+        fig_sizes(data, a),
+        fig5(data, a),
+        fig_lifetimes(data, a),
+        fig8(data, a),
+        fig9(data, a),
+        fig10(data, a),
+        fig11(data, a),
+        fig12(data, a),
+        fig_paths(data, a),
+        section5(data, a),
+        section8(data, a),
+        section9(data, a),
+        section10(data, a),
         category_breakdown(data),
     ] {
         out.push_str(&part);
@@ -938,38 +1126,43 @@ mod tests {
     use crate::study::Study;
     use std::sync::OnceLock;
 
-    fn data() -> &'static StudyData {
-        static DATA: OnceLock<StudyData> = OnceLock::new();
-        DATA.get_or_init(|| Study::run(&StudyConfig::smoke_test(17)))
+    fn data() -> &'static (StudyData, Analyses) {
+        static DATA: OnceLock<(StudyData, Analyses)> = OnceLock::new();
+        DATA.get_or_init(|| {
+            let data = Study::run(&StudyConfig::smoke_test(17));
+            let analyses = Analyses::compute(&data);
+            (data, analyses)
+        })
     }
 
     #[test]
     fn every_artefact_renders() {
-        let d = data();
+        let (d, a) = data();
         for (name, text) in [
-            ("table1", table1(d)),
-            ("table2", table2(d)),
-            ("table3", table3(d)),
-            ("fig_runs", fig_runs(d)),
-            ("fig_sizes", fig_sizes(d)),
-            ("fig5", fig5(d)),
-            ("fig_lifetimes", fig_lifetimes(d)),
-            ("fig8", fig8(d)),
-            ("fig9", fig9(d)),
-            ("fig10", fig10(d)),
-            ("fig11", fig11(d)),
-            ("fig12", fig12(d)),
-            ("fig_paths", fig_paths(d)),
-            ("section4", section4(d)),
-            ("section5", section5(d)),
-            ("section7", section7(d)),
-            ("section8", section8(d)),
-            ("section9", section9(d)),
-            ("section10", section10(d)),
+            ("table1", table1(d, a)),
+            ("table2", table2(d, a)),
+            ("table3", table3(d, a)),
+            ("fig_runs", fig_runs(d, a)),
+            ("fig_sizes", fig_sizes(d, a)),
+            ("fig5", fig5(d, a)),
+            ("fig_lifetimes", fig_lifetimes(d, a)),
+            ("fig8", fig8(d, a)),
+            ("fig9", fig9(d, a)),
+            ("fig10", fig10(d, a)),
+            ("fig11", fig11(d, a)),
+            ("fig12", fig12(d, a)),
+            ("fig_paths", fig_paths(d, a)),
+            ("section4", section4(d, a)),
+            ("section5", section5(d, a)),
+            ("section7", section7(d, a)),
+            ("section8", section8(d, a)),
+            ("section9", section9(d, a)),
+            ("section10", section10(d, a)),
         ] {
             assert!(text.len() > 40, "{name} rendered almost nothing: {text}");
         }
         let full = full_report(d);
+        assert_eq!(full, render_report(d, a), "one computation, one text");
         assert!(full.contains("Table 2"));
         assert!(full.contains("Figure 10"));
         assert!(full.contains("Section 9"));
@@ -977,7 +1170,8 @@ mod tests {
 
     #[test]
     fn table2_contains_baselines() {
-        let t = table2(data());
+        let (d, a) = data();
+        let t = table2(d, a);
         assert!(t.contains("Sprite"));
         assert!(t.contains("BSD"));
         assert!(t.contains("10-minute"));
@@ -986,7 +1180,8 @@ mod tests {
 
     #[test]
     fn fig8_reports_three_scales() {
-        let f = fig8(data());
+        let (d, a) = data();
+        let f = fig8(d, a);
         assert!(f.contains("1s bins"));
         assert!(f.contains("10s bins"));
         assert!(f.contains("100s bins"));

@@ -406,13 +406,7 @@ where
     K: Fn(usize, MachineId) -> S + Sync,
 {
     let n = config.machines.len();
-    let workers = workers
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(4)
-        })
-        .min(n.max(1));
+    let workers = workers.map_or_else(|| nt_trace::steal::default_workers(n), |w| w.min(n.max(1)));
     let (outputs, panic) = nt_trace::steal::run_indexed(n, workers, |index| {
         let spec = &config.machines[index];
         let faults = schedule.for_machine(index);

@@ -291,9 +291,7 @@ impl WhatIfStudy {
         let per_variant = streams.len();
         let tasks = configs.len() * per_variant;
         let workers = if self.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+            nt_trace::steal::default_workers(tasks)
         } else {
             self.workers
         };

@@ -38,7 +38,7 @@ pub use pool::{
 };
 pub use record::{NameRecord, TraceRecord, RECORD_SIZE};
 pub use snapshot::{Snapshot, SnapshotDiff, SnapshotWalker, WalkRecord};
-pub use steal::{run_indexed, TaskPanic};
+pub use steal::{default_workers, run_indexed, TaskPanic};
 
 /// The study's filter driver: an [`nt_io::IoObserver`] that records
 /// everything into the agent's buffers.

@@ -25,6 +25,17 @@ pub struct TaskPanic {
     pub message: String,
 }
 
+/// The pool width for `tasks` independent jobs: one worker per available
+/// core (4 when the core count cannot be read), capped at `tasks`, and at
+/// least 1. Every fan-out that is not given an explicit width uses this.
+pub fn default_workers(tasks: usize) -> usize {
+    std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(4)
+        .min(tasks)
+        .max(1)
+}
+
 /// Runs `tasks` indexed jobs on `workers` threads with work stealing and
 /// returns the results in index order.
 ///
@@ -180,6 +191,15 @@ mod tests {
         assert!(p.message.contains("machine 7 exploded"), "{}", p.message);
         assert_eq!(out[7], None);
         assert_eq!(out.iter().filter(|v| v.is_some()).count(), 19);
+    }
+
+    #[test]
+    fn default_width_is_capped_by_the_task_count() {
+        assert_eq!(default_workers(0), 1);
+        assert_eq!(default_workers(1), 1);
+        let wide = default_workers(usize::MAX);
+        assert!(wide >= 1);
+        assert_eq!(default_workers(3), wide.min(3));
     }
 
     #[test]

@@ -1091,3 +1091,135 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// TraceSet::build vs the sorted concatenation it replaces.
+// ---------------------------------------------------------------------
+
+/// One generated machine stream: a (possibly repeated) machine id, its
+/// records and its name records.
+type Stream = (u32, Vec<nt_trace::TraceRecord>, Vec<nt_trace::NameRecord>);
+
+/// A record from a small alphabet of session events over few file
+/// objects and few distinct timestamps, so ties and whole sessions are
+/// common.
+fn build_record() -> impl Strategy<Value = nt_trace::TraceRecord> {
+    use nt_io::{EventKind, FastIoKind, MajorFunction, NtStatus, SetInfoKind};
+    (0u8..9, 0u64..4, 0u64..6, 0u8..16, 0u64..4).prop_map(|(kind, fo, start, bits, blocks)| {
+        let kind = match kind {
+            0 | 1 => EventKind::Irp(MajorFunction::Create),
+            2 => EventKind::Irp(MajorFunction::Read),
+            3 => EventKind::FastIo(FastIoKind::Read),
+            4 => EventKind::Irp(MajorFunction::Write),
+            5 => EventKind::Irp(MajorFunction::SetInformation),
+            6 => EventKind::Irp(MajorFunction::QueryInformation),
+            7 => EventKind::Irp(MajorFunction::Cleanup),
+            _ => EventKind::Irp(MajorFunction::Close),
+        };
+        nt_trace::TraceRecord {
+            code: kind.code(),
+            flags: bits & 0b11,
+            status: if bits & 0b1100 == 0b1100 {
+                NtStatus::ObjectNameNotFound
+            } else {
+                NtStatus::Success
+            },
+            set_info: (bits & 0b100 != 0).then_some(SetInfoKind::Disposition),
+            access: None,
+            disposition: None,
+            options: None,
+            file_object: fo,
+            fcb: fo * 7,
+            process: (bits % 3) as u32,
+            volume: 0,
+            offset: blocks * 512,
+            length: 512,
+            transferred: 512,
+            file_size: 4 * 512,
+            byte_offset: blocks * 512,
+            start_ticks: start * 1_000,
+            end_ticks: start * 1_000 + u64::from(bits),
+        }
+    })
+}
+
+fn build_streams() -> impl Strategy<Value = Vec<Stream>> {
+    prop::collection::vec(
+        (
+            0u32..4,
+            prop::collection::vec(build_record(), 0..40),
+            prop::collection::vec((0u64..4, 0u8..3), 0..5),
+        )
+            .prop_map(|(machine, records, names)| {
+                let names = names
+                    .into_iter()
+                    .map(|(fo, pick)| nt_trace::NameRecord {
+                        file_object: fo,
+                        volume: 0,
+                        process: 0,
+                        path: format!(
+                            r"\m{machine}\f{fo}.{}",
+                            ["txt", "dll", "tmp"][pick as usize]
+                        ),
+                        at_ticks: 0,
+                    })
+                    .collect();
+                (machine, records, names)
+            }),
+        0..6,
+    )
+}
+
+/// The reference build: concatenate the streams, then stably sort the
+/// rows by `(start_ticks, machine, file_object)` and the instances by
+/// `(open_start_ticks, machine, file_object)`; names fill one map in
+/// stream order and every path is resolved from the final map.
+fn reference_build(
+    streams: Vec<Stream>,
+) -> (
+    nt_analysis::FactTable,
+    Vec<nt_analysis::Instance>,
+    std::collections::HashMap<(u32, u64), String>,
+) {
+    use nt_analysis::InstanceBuilder;
+    let mut rows = Vec::new();
+    let mut instances = Vec::new();
+    let mut names = std::collections::HashMap::new();
+    for (machine, records, name_records) in streams {
+        for n in name_records {
+            names.insert((machine, n.file_object), n.path);
+        }
+        let mut builder = InstanceBuilder::new(machine);
+        for r in &records {
+            builder.push(r);
+        }
+        instances.extend(builder.finish());
+        rows.extend(records.into_iter().map(|r| (machine, r)));
+    }
+    InstanceBuilder::assign_paths(&mut instances, &names);
+    rows.sort_by_key(|(m, r)| (r.start_ticks, *m, r.file_object));
+    instances.sort_by_key(|i| (i.open_start_ticks, i.machine, i.file_object));
+    (rows.into_iter().collect(), instances, names)
+}
+
+proptest! {
+    // The per-machine presort and k-way merge must reproduce the sorted
+    // concatenation exactly: across machines whose timestamps tie, within
+    // a machine whose (start_ticks, file_object) keys tie, with empty
+    // streams, with streams that share a machine id, and with a file
+    // object named more than once.
+    #[test]
+    fn fact_table_build_equals_the_sorted_concatenation(streams in build_streams()) {
+        let ts = nt_analysis::TraceSet::build(streams.clone());
+        let (records, instances, names) = reference_build(streams);
+        prop_assert!(ts.records.start_ticks().windows(2).all(|w| w[0] <= w[1]));
+        prop_assert_eq!(ts.records.len(), records.len());
+        for i in 0..records.len() {
+            prop_assert_eq!(ts.records.machine_at(i), records.machine_at(i), "row {} machine", i);
+            prop_assert_eq!(ts.records.get(i), records.get(i), "row {} stayed intact", i);
+        }
+        prop_assert!(ts.records == records);
+        prop_assert_eq!(ts.instances, instances);
+        prop_assert_eq!(ts.names, names);
+    }
+}
